@@ -18,10 +18,13 @@ using namespace icrowd::bench;  // NOLINT
 
 namespace {
 
+/// Builds a variant's assigner from the campaign's PPR engine (the one
+/// qualification selection ran on) and its qualification tasks.
+using MakeAssignerFn = std::function<std::unique_ptr<Assigner>(
+    PprEngine, const std::vector<TaskId>&)>;
+
 double RunCampaigns(const BenchDataset& bd, const ICrowdConfig& base_config,
-                    const std::function<std::unique_ptr<Assigner>(
-                        const std::vector<TaskId>&)>& make_assigner,
-                    int seeds) {
+                    const MakeAssignerFn& make_assigner, int seeds) {
   double sum = 0.0;
   for (int s = 0; s < seeds; ++s) {
     ICrowdConfig config = base_config;
@@ -29,7 +32,7 @@ double RunCampaigns(const BenchDataset& bd, const ICrowdConfig& base_config,
     auto engine = PprEngine::Precompute(bd.graph, config.estimator.ppr);
     auto qual = SelectQualificationGreedy(*engine, config.num_qualification,
                                           config.influence_epsilon);
-    auto assigner = make_assigner(qual->tasks);
+    auto assigner = make_assigner(engine.MoveValueOrDie(), qual->tasks);
     SimulationOptions sim_options;
     sim_options.qualification_tasks = qual->tasks;
     sim_options.warmup = config.warmup;
@@ -48,9 +51,9 @@ double RunCampaigns(const BenchDataset& bd, const ICrowdConfig& base_config,
 }
 
 std::unique_ptr<AccuracyEstimator> MakeEstimator(
-    const BenchDataset& bd, const ICrowdConfig& config,
+    PprEngine engine, const ICrowdConfig& config,
     const std::vector<TaskId>& qualification) {
-  auto est = AccuracyEstimator::Create(bd.graph, config.estimator);
+  auto est = AccuracyEstimator::FromEngine(std::move(engine), config.estimator);
   if (!est.ok()) std::abort();
   auto owned = std::make_unique<AccuracyEstimator>(est.MoveValueOrDie());
   owned->SetQualificationTasks(qualification);
@@ -83,9 +86,11 @@ ICROWD_BENCH("ablation_assignment") {
   for (const Variant& variant : kVariants) {
     double acc = RunCampaigns(
         bd, config,
-        [&](const std::vector<TaskId>& qual) -> std::unique_ptr<Assigner> {
+        [&](PprEngine engine,
+            const std::vector<TaskId>& qual) -> std::unique_ptr<Assigner> {
           return std::make_unique<AdaptiveAssigner>(
-              &bd.dataset, MakeEstimator(bd, config, qual), variant.options);
+              &bd.dataset, MakeEstimator(std::move(engine), config, qual),
+              variant.options);
         },
         kSeeds);
     std::printf("  %-24s overall %s\n", variant.name,
@@ -97,9 +102,10 @@ ICROWD_BENCH("ablation_assignment") {
 
   double hungarian = RunCampaigns(
       bd, config,
-      [&](const std::vector<TaskId>& qual) -> std::unique_ptr<Assigner> {
+      [&](PprEngine engine,
+          const std::vector<TaskId>& qual) -> std::unique_ptr<Assigner> {
         return std::make_unique<HungarianAssigner>(
-            &bd.dataset, MakeEstimator(bd, config, qual));
+            &bd.dataset, MakeEstimator(std::move(engine), config, qual));
       },
       kSeeds);
   std::printf("  %-24s overall %s\n", "Hungarian matching",

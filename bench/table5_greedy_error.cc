@@ -35,8 +35,8 @@ ICROWD_BENCH("table5_greedy_error") {
   }
   auto qual = SelectQualificationGreedy(*engine, config.num_qualification,
                                         config.influence_epsilon);
-  auto strategy = MakeStrategy(StrategyKind::kAdapt, bd.dataset, bd.graph,
-                               config, qual->tasks);
+  auto strategy = MakeStrategy(StrategyKind::kAdapt, bd.dataset,
+                               engine.MoveValueOrDie(), config, qual->tasks);
   if (!strategy.ok()) {
     std::fprintf(stderr, "strategy failed\n");
     std::abort();

@@ -5,7 +5,6 @@
 #include "agg/dawid_skene.h"
 #include "agg/majority_vote.h"
 #include "agg/probabilistic_verification.h"
-#include "common/random.h"
 #include "estimation/accuracy_estimator.h"
 #include "obs/metrics.h"
 
@@ -51,30 +50,20 @@ Result<ExperimentResult> RunExperiment(
 
   ExperimentResult result;
 
-  // Qualification selection (InfQF or RandomQF) over the campaign's graph.
+  // The experiment's one PPR pass: qualification selection (InfQF or
+  // RandomQF) reads it, then the strategy's estimator takes it over.
+  Result<PprEngine> engine = Status::Internal("unset");
   {
     ICROWD_TRACE_SCOPE("experiment.qualification");
-    PprOptions ppr = config.estimator.ppr;
-    auto engine = PprEngine::Precompute(graph, ppr);
+    engine = PprEngine::Precompute(graph, config.estimator.ppr);
     if (!engine.ok()) return engine.status();
-    size_t quota = std::min(config.num_qualification, dataset.size());
-    Result<QualificationSelection> selection =
-        Status::Internal("unselected");
-    if (config.qualification_greedy) {
-      selection =
-          SelectQualificationGreedy(*engine, quota, config.influence_epsilon);
-    } else {
-      Rng rng(config.seed);
-      selection = SelectQualificationRandom(*engine, quota, &rng,
-                                            config.influence_epsilon);
-    }
-    if (!selection.ok()) return selection.status();
-    result.qualification = selection.MoveValueOrDie();
+    ICROWD_ASSIGN_OR_RETURN(result.qualification,
+                            SelectCampaignQualification(*engine, config));
   }
 
   ICROWD_ASSIGN_OR_RETURN(
       Strategy strategy,
-      MakeStrategy(strategy_kind, dataset, graph, config,
+      MakeStrategy(strategy_kind, dataset, engine.MoveValueOrDie(), config,
                    result.qualification.tasks, host));
   result.strategy_name = strategy.name;
 

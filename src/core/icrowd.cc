@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "common/random.h"
+#include "core/strategy_factory.h"
 #include "obs/flight_recorder.h"
 #include "obs/http/http_server.h"
 #include "obs/http/series.h"
@@ -150,27 +150,18 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
   if (config.assignment_size < 1 || config.assignment_size % 2 == 0) {
     return Status::InvalidArgument("assignment_size k must be odd and >= 1");
   }
+  // Fail before the graph build and the precompute, not after them.
+  ICROWD_RETURN_NOT_OK(AccuracyEstimator::ValidateOptions(config.estimator));
   auto graph = SimilarityGraph::Build(dataset, config.graph);
   if (!graph.ok()) return graph.status();
 
-  // Qualification selection over the graph (Algorithm 4 / RandomQF).
-  QualificationSelection qualification;
-  {
-    auto engine = PprEngine::Precompute(*graph, config.estimator.ppr);
-    if (!engine.ok()) return engine.status();
-    size_t quota = std::min(config.num_qualification, dataset.size());
-    Result<QualificationSelection> selection = Status::Internal("unset");
-    if (config.qualification_greedy) {
-      selection =
-          SelectQualificationGreedy(*engine, quota, config.influence_epsilon);
-    } else {
-      Rng rng(config.seed);
-      selection = SelectQualificationRandom(*engine, quota, &rng,
-                                            config.influence_epsilon);
-    }
-    if (!selection.ok()) return selection.status();
-    qualification = selection.MoveValueOrDie();
-  }
+  // The one offline PPR pass of this campaign: qualification selection
+  // (Algorithm 4 / RandomQF) reads it, then the estimator takes it over.
+  auto engine = PprEngine::Precompute(*graph, config.estimator.ppr);
+  if (!engine.ok()) return engine.status();
+  auto selected = SelectCampaignQualification(*engine, config);
+  if (!selected.ok()) return selected.status();
+  QualificationSelection qualification = selected.MoveValueOrDie();
   for (TaskId t : qualification.tasks) {
     if (!dataset.task(t).ground_truth.has_value()) {
       return Status::FailedPrecondition(
@@ -179,7 +170,8 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
     }
   }
 
-  auto estimator = AccuracyEstimator::Create(*graph, config.estimator);
+  auto estimator =
+      AccuracyEstimator::FromEngine(engine.MoveValueOrDie(), config.estimator);
   if (!estimator.ok()) return estimator.status();
   auto owned_estimator =
       std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());

@@ -57,9 +57,11 @@ class ICrowd {
  public:
   enum class WorkerStatus { kUnknown, kWarmup, kActive, kRejected, kLeft };
 
-  /// Builds the pipeline: similarity graph over `dataset`, PPR precompute,
-  /// greedy/random qualification selection, warm-up. Fails if the dataset
-  /// is empty or configured tasks lack ground truth for qualification.
+  /// Builds the pipeline: similarity graph over `dataset`, one PPR
+  /// precompute (read by greedy/random qualification selection, then owned
+  /// by the estimator), warm-up. Fails if the dataset is empty, the
+  /// estimator options are invalid (checked before any graph work), or
+  /// configured tasks lack ground truth for qualification.
   /// When config.journal_sink is set the campaign-begin record is appended
   /// (and flushed) before this returns. `host` carries execution-only knobs
   /// (threads, pool, observability port) and never affects a decision —

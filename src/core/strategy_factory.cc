@@ -1,9 +1,13 @@
 #include "core/strategy_factory.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "assign/adaptive_assigner.h"
 #include "assign/avgacc_assigner.h"
 #include "assign/best_effort_assigner.h"
 #include "assign/random_assigner.h"
+#include "common/random.h"
 
 namespace icrowd {
 
@@ -25,12 +29,24 @@ const char* StrategyName(StrategyKind kind) {
   return "?";
 }
 
+Result<QualificationSelection> SelectCampaignQualification(
+    const PprEngine& engine, const ICrowdConfig& config) {
+  size_t quota = std::min(config.num_qualification, engine.num_tasks());
+  if (config.qualification_greedy) {
+    return SelectQualificationGreedy(engine, quota, config.influence_epsilon);
+  }
+  Rng rng(config.seed);
+  return SelectQualificationRandom(engine, quota, &rng,
+                                   config.influence_epsilon);
+}
+
 namespace {
 
 Result<std::unique_ptr<AccuracyEstimator>> MakeEstimator(
-    const SimilarityGraph& graph, const ICrowdConfig& config,
+    PprEngine engine, const ICrowdConfig& config,
     const std::vector<TaskId>& qualification_tasks) {
-  auto estimator = AccuracyEstimator::Create(graph, config.estimator);
+  auto estimator =
+      AccuracyEstimator::FromEngine(std::move(engine), config.estimator);
   if (!estimator.ok()) return estimator.status();
   auto owned = std::make_unique<AccuracyEstimator>(estimator.MoveValueOrDie());
   owned->SetQualificationTasks(qualification_tasks);
@@ -40,8 +56,7 @@ Result<std::unique_ptr<AccuracyEstimator>> MakeEstimator(
 }  // namespace
 
 Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
-                              const SimilarityGraph& graph,
-                              const ICrowdConfig& config,
+                              PprEngine engine, const ICrowdConfig& config,
                               const std::vector<TaskId>& qualification_tasks,
                               const HostConfig& host) {
   Strategy strategy;
@@ -72,7 +87,8 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
     }
     case StrategyKind::kQfOnly: {
       ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
+          auto estimator,
+          MakeEstimator(std::move(engine), config, qualification_tasks));
       AdaptiveAssignerOptions options;
       options.adaptive_updates = false;
       options.num_threads = host.num_threads;
@@ -86,7 +102,8 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
     }
     case StrategyKind::kBestEffort: {
       ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
+          auto estimator,
+          MakeEstimator(std::move(engine), config, qualification_tasks));
       auto assigner =
           std::make_unique<BestEffortAssigner>(&dataset, std::move(estimator));
       strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
@@ -96,7 +113,8 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
     }
     case StrategyKind::kAdapt: {
       ICROWD_ASSIGN_OR_RETURN(
-          auto estimator, MakeEstimator(graph, config, qualification_tasks));
+          auto estimator,
+          MakeEstimator(std::move(engine), config, qualification_tasks));
       AdaptiveAssignerOptions options;
       options.num_threads = host.num_threads;
       options.pool = host.pool;

@@ -9,9 +9,10 @@
 #include "assign/assigner.h"
 #include "common/result.h"
 #include "core/config.h"
-#include "graph/similarity_graph.h"
+#include "graph/ppr.h"
 #include "host/host_config.h"
 #include "model/dataset.h"
+#include "qualification/qualification_selector.h"
 
 namespace icrowd {
 
@@ -50,14 +51,22 @@ struct Strategy {
   std::function<double(WorkerId, TaskId)> accuracy_fn;
 };
 
-/// Builds `kind` for `dataset` over a prebuilt similarity `graph` (only the
-/// graph-based strategies use it). `qualification_tasks` are the campaign's
-/// gold tasks (wired into the estimator for Eq. 5). `dataset` and `graph`
-/// must outlive the returned strategy. `host` supplies the execution-only
-/// knobs (hot-path threads, shared pool); the default is serial.
+/// Qualification selection as config asks: InfQF (Algorithm 4) when
+/// config.qualification_greedy, else RandomQF seeded with config.seed;
+/// quota config.num_qualification, capped at the task count. Shared by
+/// ICrowd and RunExperiment so both pick the same gold tasks.
+Result<QualificationSelection> SelectCampaignQualification(
+    const PprEngine& engine, const ICrowdConfig& config);
+
+/// Builds `kind` for `dataset` from the campaign's precomputed PPR `engine`
+/// (the one qualification selection ran on). The graph-based strategies
+/// move it into their estimator; the others drop it. `qualification_tasks`
+/// are the campaign's gold tasks (wired into the estimator for Eq. 5).
+/// `dataset` must outlive the returned strategy. `host` supplies the
+/// execution-only knobs (hot-path threads, shared pool); the default is
+/// serial.
 Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
-                              const SimilarityGraph& graph,
-                              const ICrowdConfig& config,
+                              PprEngine engine, const ICrowdConfig& config,
                               const std::vector<TaskId>& qualification_tasks,
                               const HostConfig& host = {});
 

@@ -11,17 +11,29 @@
 
 namespace icrowd {
 
-Result<AccuracyEstimator> AccuracyEstimator::Create(
-    const SimilarityGraph& graph, const AccuracyEstimatorOptions& options) {
+Status AccuracyEstimator::ValidateOptions(
+    const AccuracyEstimatorOptions& options) {
   if (options.default_accuracy <= 0.0 || options.default_accuracy >= 1.0) {
     return Status::InvalidArgument("default_accuracy must be in (0, 1)");
   }
   if (options.prior_strength < 0.0) {
     return Status::InvalidArgument("prior_strength must be >= 0");
   }
+  return Status::OK();
+}
+
+Result<AccuracyEstimator> AccuracyEstimator::Create(
+    const SimilarityGraph& graph, const AccuracyEstimatorOptions& options) {
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
   auto engine = PprEngine::Precompute(graph, options.ppr);
   if (!engine.ok()) return engine.status();
-  return AccuracyEstimator(engine.MoveValueOrDie(), options);
+  return FromEngine(engine.MoveValueOrDie(), options);
+}
+
+Result<AccuracyEstimator> AccuracyEstimator::FromEngine(
+    PprEngine engine, const AccuracyEstimatorOptions& options) {
+  ICROWD_RETURN_NOT_OK(ValidateOptions(options));
+  return AccuracyEstimator(std::move(engine), options);
 }
 
 void AccuracyEstimator::SetQualificationTasks(

@@ -36,10 +36,11 @@ struct AccuracyEstimatorOptions {
   bool confidence_weighting = true;
 };
 
-/// The ACCURACY ESTIMATOR component (§3, Algorithm 1). Offline it
-/// precomputes per-seed personalized-PageRank vectors on the similarity
-/// graph; online it computes a worker's observed accuracies q^w (Eq. 5) and
-/// propagates them over the graph by linearity (Lemma 3).
+/// The ACCURACY ESTIMATOR component (§3, Algorithm 1). It owns the per-seed
+/// personalized-PageRank vectors of the offline phase (solved by Create, or
+/// handed over by FromEngine); online it computes a worker's observed
+/// accuracies q^w (Eq. 5) and propagates them over the graph by linearity
+/// (Lemma 3).
 ///
 /// Calibration note: the raw Eq. (3) output is a *score* whose magnitude
 /// depends on graph topology, while Eq. (1)/(5) consume probabilities. We
@@ -52,8 +53,22 @@ struct AccuracyEstimatorOptions {
 /// available via RawScores().
 class AccuracyEstimator {
  public:
+  /// Checks the estimator's own knobs (default_accuracy, prior_strength);
+  /// PprEngine::Precompute checks options.ppr. Cheap, so callers can fail
+  /// before any graph build or precompute.
+  static Status ValidateOptions(const AccuracyEstimatorOptions& options);
+
+  /// Runs the offline phase of Algorithm 1 over `graph` with options.ppr,
+  /// then FromEngine().
   static Result<AccuracyEstimator> Create(
       const SimilarityGraph& graph, const AccuracyEstimatorOptions& options);
+
+  /// Takes ownership of an already precomputed engine, typically the one
+  /// qualification selection (Algorithm 4) ran on, so a campaign solves
+  /// each seed once. The engine's own PprOptions govern; options.ppr is
+  /// not read.
+  static Result<AccuracyEstimator> FromEngine(
+      PprEngine engine, const AccuracyEstimatorOptions& options);
 
   /// Tasks with requester ground truth used by the warm-up; their q entries
   /// come from exact comparison rather than Eq. (5).
@@ -164,7 +179,7 @@ class AccuracyEstimator {
   void RebuildModelFromObserved(WorkerModel& model);
 
   double SeedSelfMass() const {
-    return options_.ppr.alpha / (1.0 + options_.ppr.alpha);
+    return engine_.alpha() / (1.0 + engine_.alpha());
   }
 
   PprEngine engine_;

@@ -125,12 +125,13 @@ Result<SimilarityGraph> SimilarityGraph::BuildFromTexts(
 
   switch (options.measure) {
     case SimilarityMeasure::kJaccard: {
-      std::vector<std::vector<std::string>> tokens(n);
-      for (size_t i = 0; i < n; ++i) tokens[i] = tokenizer.Tokenize(texts[i]);
+      // Tokenize and intern once; each of the n(n-1)/2 pairs is then one
+      // merge of two id lists.
+      std::vector<std::vector<int32_t>> ids = InternTokenSets(texts, tokenizer);
       return BuildFromFunction(
           n,
           [&](size_t i, size_t j) {
-            return JaccardSimilarity(tokens[i], tokens[j]);
+            return JaccardOfSortedIds(ids[i], ids[j]);
           },
           options.threshold, options.max_neighbors);
     }

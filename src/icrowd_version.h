@@ -16,7 +16,11 @@
 // HostConfig, the process-global /metricsz campaign label was replaced by
 // per-server and per-campaign labels, and the CampaignManager /
 // CampaignHandle host API joined the surface.
-#define ICROWD_API_VERSION_MAJOR 2
+// 3.0: MakeStrategy takes the campaign's precomputed PprEngine in place of
+// the SimilarityGraph (breaking), so a campaign solves its PPR seeds once;
+// AccuracyEstimator::FromEngine/ValidateOptions and
+// SelectCampaignQualification joined the surface.
+#define ICROWD_API_VERSION_MAJOR 3
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

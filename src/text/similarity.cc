@@ -3,24 +3,66 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "common/math_util.h"
+#include "text/vocabulary.h"
 
 namespace icrowd {
 
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  std::unordered_set<std::string> set_a(a.begin(), a.end());
-  std::unordered_set<std::string> set_b(b.begin(), b.end());
+namespace {
+
+/// |a ∩ b| / |a ∪ b| for sorted, duplicate-free ranges.
+template <typename T>
+double SortedSetJaccard(const std::vector<T>& a, const std::vector<T>& b) {
   size_t intersection = 0;
-  for (const std::string& tok : set_a) {
-    if (set_b.count(tok)) ++intersection;
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++intersection;
+      ++i;
+      ++j;
+    }
   }
-  size_t uni = set_a.size() + set_b.size() - intersection;
+  size_t uni = a.size() + b.size() - intersection;
   if (uni == 0) return 0.0;
   return static_cast<double>(intersection) / static_cast<double>(uni);
+}
+
+template <typename T>
+std::vector<T> SortedUnique(std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+}  // namespace
+
+double JaccardSimilarity(const std::vector<std::string>& a,
+                         const std::vector<std::string>& b) {
+  return SortedSetJaccard(SortedUnique(a), SortedUnique(b));
+}
+
+std::vector<std::vector<int32_t>> InternTokenSets(
+    const std::vector<std::string>& texts, const Tokenizer& tokenizer) {
+  Vocabulary vocabulary;
+  std::vector<std::vector<int32_t>> sets(texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    std::vector<int32_t> ids;
+    for (const std::string& token : tokenizer.Tokenize(texts[i])) {
+      ids.push_back(vocabulary.GetOrAdd(token));
+    }
+    sets[i] = SortedUnique(std::move(ids));
+  }
+  return sets;
+}
+
+double JaccardOfSortedIds(const std::vector<int32_t>& a,
+                          const std::vector<int32_t>& b) {
+  return SortedSetJaccard(a, b);
 }
 
 double JaccardSimilarity(const std::string& a, const std::string& b,

@@ -1,6 +1,7 @@
 #ifndef ICROWD_TEXT_SIMILARITY_H_
 #define ICROWD_TEXT_SIMILARITY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,22 @@ namespace icrowd {
 
 /// Jaccard similarity of two token multisets treated as sets:
 /// |intersection| / |union| (§3.3 option 1; drives the Figure 3 example).
+/// Sorts and de-duplicates copies of both sides, then runs the same merge
+/// as JaccardOfSortedIds. 0 when both sides are empty.
 double JaccardSimilarity(const std::vector<std::string>& a,
                          const std::vector<std::string>& b);
+
+/// Tokenizes each text once and interns its tokens into ids shared across
+/// `texts`: one sorted, duplicate-free id list per text, the input
+/// JaccardOfSortedIds takes.
+std::vector<std::vector<int32_t>> InternTokenSets(
+    const std::vector<std::string>& texts, const Tokenizer& tokenizer);
+
+/// Jaccard over two InternTokenSets lists: one linear merge. Counts the
+/// same intersection and union as the string overload on the same tokens,
+/// so the result is bit-identical to it.
+double JaccardOfSortedIds(const std::vector<int32_t>& a,
+                          const std::vector<int32_t>& b);
 
 /// Jaccard over raw texts: tokenizes both sides first.
 double JaccardSimilarity(const std::string& a, const std::string& b,

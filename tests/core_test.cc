@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <set>
 
@@ -40,6 +41,16 @@ ICrowdConfig TinyConfig() {
   return config;
 }
 
+/// The campaign's offline PPR pass over TinyDataset's graph: what
+/// MakeStrategy takes from qualification selection.
+PprEngine TinyEngine(const Dataset& ds, const ICrowdConfig& config) {
+  auto graph = SimilarityGraph::Build(ds, config.graph);
+  EXPECT_TRUE(graph.ok());
+  auto engine = PprEngine::Precompute(*graph, config.estimator.ppr);
+  EXPECT_TRUE(engine.ok());
+  return engine.MoveValueOrDie();
+}
+
 // -------------------------------------------------------- StrategyFactory --
 
 TEST(StrategyFactoryTest, NamesAreStable) {
@@ -54,13 +65,12 @@ TEST(StrategyFactoryTest, NamesAreStable) {
 TEST(StrategyFactoryTest, BuildsEveryStrategy) {
   Dataset ds = TinyDataset();
   ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
   for (StrategyKind kind :
        {StrategyKind::kRandomMV, StrategyKind::kRandomEM,
         StrategyKind::kAvgAccPV, StrategyKind::kQfOnly,
         StrategyKind::kBestEffort, StrategyKind::kAdapt}) {
-    auto strategy = MakeStrategy(kind, ds, *graph, config, {0, 4});
+    auto strategy =
+        MakeStrategy(kind, ds, TinyEngine(ds, config), config, {0, 4});
     ASSERT_TRUE(strategy.ok()) << StrategyName(kind);
     EXPECT_NE(strategy->assigner, nullptr);
     EXPECT_EQ(strategy->name, StrategyName(kind));
@@ -70,10 +80,10 @@ TEST(StrategyFactoryTest, BuildsEveryStrategy) {
 TEST(StrategyFactoryTest, RandomBaselinesSkipElimination) {
   Dataset ds = TinyDataset();
   ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
-  auto mv = MakeStrategy(StrategyKind::kRandomMV, ds, *graph, config, {});
-  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, *graph, config, {});
+  auto mv = MakeStrategy(StrategyKind::kRandomMV, ds, TinyEngine(ds, config),
+                         config, {});
+  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, TinyEngine(ds, config),
+                            config, {});
   ASSERT_TRUE(mv.ok());
   ASSERT_TRUE(adapt.ok());
   EXPECT_FALSE(mv->eliminate_bad_workers);
@@ -83,9 +93,8 @@ TEST(StrategyFactoryTest, RandomBaselinesSkipElimination) {
 TEST(StrategyFactoryTest, EstimateBasedStrategiesExposeAccuracyFn) {
   Dataset ds = TinyDataset();
   ICrowdConfig config = TinyConfig();
-  auto graph = SimilarityGraph::Build(ds, config.graph);
-  ASSERT_TRUE(graph.ok());
-  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, *graph, config, {0});
+  auto adapt = MakeStrategy(StrategyKind::kAdapt, ds, TinyEngine(ds, config),
+                            config, {0});
   ASSERT_TRUE(adapt.ok());
   ASSERT_TRUE(adapt->accuracy_fn != nullptr);
   double p = adapt->accuracy_fn(0, 0);
@@ -164,6 +173,67 @@ TEST(ICrowdTest, CreateValidates) {
   EXPECT_FALSE(ICrowd::Create(empty, config).ok());
   config.assignment_size = 2;
   EXPECT_FALSE(ICrowd::Create(TinyDataset(), config).ok());
+}
+
+uint64_t SeedsSolved() {
+  return obs::MetricsRegistry::Global().CounterValue(
+      "icrowd.ppr.seeds_solved");
+}
+
+TEST(ICrowdTest, BadEstimatorConfigFailsBeforeAnyPprWork) {
+  for (int which = 0; which < 2; ++which) {
+    ICrowdConfig config = TinyConfig();
+    if (which == 0) {
+      config.estimator.default_accuracy = 1.5;
+    } else {
+      config.estimator.prior_strength = -1.0;
+    }
+    uint64_t before = SeedsSolved();
+    auto created = ICrowd::Create(TinyDataset(), config);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(SeedsSolved(), before) << "precompute ran for a bad config";
+  }
+}
+
+TEST(ICrowdTest, CreateAndRestoreEachSolveEverySeedOnce) {
+  // EntityResolution is the benchmark's campaign shape, scaled down.
+  auto generated = GenerateEntityResolution();
+  ASSERT_TRUE(generated.ok());
+  Dataset dataset = generated.MoveValueOrDie();
+  ICrowdConfig config;
+  config.graph.measure = SimilarityMeasure::kJaccard;
+  config.graph.threshold = 0.5;
+  config.num_qualification = 4;
+
+  uint64_t before = SeedsSolved();
+  auto created = ICrowd::Create(dataset, config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(SeedsSolved() - before, dataset.size());
+
+  // The estimator serves exactly the vectors a fresh precompute solves.
+  auto fresh = PprEngine::Precompute((*created)->graph(), config.estimator.ppr);
+  ASSERT_TRUE(fresh.ok());
+  const PprEngine& owned = (*created)->estimator().engine();
+  ASSERT_EQ(owned.num_tasks(), fresh->num_tasks());
+  for (size_t i = 0; i < owned.num_tasks(); ++i) {
+    const SparseEntries& got = owned.SeedVector(i);
+    const SparseEntries& want = fresh->SeedVector(i);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << i;
+    for (size_t e = 0; e < got.size(); ++e) {
+      ASSERT_EQ(got[e].first, want[e].first) << "seed " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[e].second),
+                std::bit_cast<uint64_t>(want[e].second))
+          << "seed " << i << " task " << got[e].first;
+    }
+  }
+
+  auto snapshot = (*created)->Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  before = SeedsSolved();
+  auto restored = ICrowd::Restore(dataset, config, *snapshot, {});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SeedsSolved() - before, dataset.size());
 }
 
 TEST(ICrowdTest, ServeObsBindsEphemeralPortAndStaysOffFingerprint) {

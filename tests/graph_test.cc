@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "common/random.h"
+#include "datagen/entity_resolution.h"
 #include "datagen/scalability.h"
 #include "graph/ppr.h"
 #include "graph/similarity_graph.h"
 #include "graph/sparse_matrix.h"
+#include "text/tokenizer.h"
 
 namespace icrowd {
 namespace {
@@ -101,6 +106,50 @@ TEST(SimilarityGraphTest, JaccardBuildRespectsThreshold) {
   for (size_t u = 0; u < graph->num_nodes(); ++u) {
     for (const auto& e : graph->Neighbors(u)) {
       EXPECT_GE(e.weight, options.threshold);
+    }
+  }
+}
+
+TEST(SimilarityGraphTest, JaccardBuildMatchesStringJaccardReference) {
+  // The interned-id build must reproduce, edge for edge and bit for bit,
+  // the graph a per-pair set-of-strings Jaccard yields.
+  auto dataset = GenerateEntityResolution();
+  ASSERT_TRUE(dataset.ok());
+  GraphBuildOptions options;
+  options.measure = SimilarityMeasure::kJaccard;
+  options.threshold = 0.5;
+  auto built = SimilarityGraph::Build(*dataset, options);
+  ASSERT_TRUE(built.ok());
+
+  Tokenizer tokenizer;
+  std::vector<std::set<std::string>> tokens;
+  for (const Microtask& task : dataset->tasks()) {
+    std::vector<std::string> words = tokenizer.Tokenize(task.text);
+    tokens.emplace_back(words.begin(), words.end());
+  }
+  SimilarityGraph reference = SimilarityGraph::BuildFromFunction(
+      dataset->size(),
+      [&](size_t i, size_t j) {
+        size_t shared = 0;
+        for (const std::string& t : tokens[i]) shared += tokens[j].count(t);
+        size_t uni = tokens[i].size() + tokens[j].size() - shared;
+        if (uni == 0) return 0.0;
+        return static_cast<double>(shared) / static_cast<double>(uni);
+      },
+      options.threshold);
+
+  ASSERT_GT(reference.num_edges(), 0u);
+  ASSERT_EQ(built->num_nodes(), reference.num_nodes());
+  EXPECT_EQ(built->num_edges(), reference.num_edges());
+  for (size_t u = 0; u < reference.num_nodes(); ++u) {
+    const auto& got = built->Neighbors(u);
+    const auto& want = reference.Neighbors(u);
+    ASSERT_EQ(got.size(), want.size()) << "node " << u;
+    for (size_t e = 0; e < want.size(); ++e) {
+      EXPECT_EQ(got[e].neighbor, want[e].neighbor) << "node " << u;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[e].weight),
+                std::bit_cast<uint64_t>(want[e].weight))
+          << "edge " << u << "-" << want[e].neighbor;
     }
   }
 }

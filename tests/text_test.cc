@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <set>
 
+#include "common/random.h"
 #include "text/classifier.h"
 #include "text/lda.h"
 #include "text/similarity.h"
@@ -176,6 +179,53 @@ TEST(JaccardTest, DuplicateTokensCountOnce) {
   std::vector<std::string> a = {"x", "x", "y"};
   std::vector<std::string> b = {"x"};
   EXPECT_DOUBLE_EQ(JaccardSimilarity(a, b), 0.5);
+}
+
+/// Set-based reference: |A ∩ B| / |A ∪ B| over std::set, 0 when both are
+/// empty — the definition the merge kernel must reproduce bit for bit.
+template <typename T>
+double ReferenceJaccard(const std::vector<T>& a, const std::vector<T>& b) {
+  std::set<T> set_a(a.begin(), a.end());
+  std::set<T> set_b(b.begin(), b.end());
+  size_t intersection = 0;
+  for (const T& x : set_a) intersection += set_b.count(x);
+  size_t uni = set_a.size() + set_b.size() - intersection;
+  if (uni == 0) return 0.0;
+  return static_cast<double>(intersection) / static_cast<double>(uni);
+}
+
+TEST(JaccardTest, MergeKernelMatchesSetReferenceBitwise) {
+  const std::vector<std::string> words = {"ipod", "touch", "wifi", "4"};
+  Rng rng(2015);
+  auto random_tokens = [&] {
+    // Lengths 0..10 drawn with replacement from 4 words: empty lists and
+    // duplicates both occur often.
+    std::vector<std::string> tokens(rng.UniformInt(0, 10));
+    for (std::string& t : tokens) {
+      t = words[rng.UniformInt(0, words.size() - 1)];
+    }
+    return tokens;
+  };
+  Vocabulary vocabulary;
+  auto sorted_ids = [&](const std::vector<std::string>& tokens) {
+    std::vector<int32_t> ids;
+    for (const std::string& t : tokens) ids.push_back(vocabulary.GetOrAdd(t));
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+  };
+  int empty_sides = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::string> a = random_tokens();
+    std::vector<std::string> b = random_tokens();
+    empty_sides += a.empty() + b.empty();
+    const uint64_t want = std::bit_cast<uint64_t>(ReferenceJaccard(a, b));
+    EXPECT_EQ(std::bit_cast<uint64_t>(JaccardSimilarity(a, b)), want)
+        << "trial " << trial;
+    double merged = JaccardOfSortedIds(sorted_ids(a), sorted_ids(b));
+    EXPECT_EQ(std::bit_cast<uint64_t>(merged), want) << "trial " << trial;
+  }
+  EXPECT_GT(empty_sides, 0);
 }
 
 TEST(EditDistanceTest, KnownDistances) {
