@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the parallel online pipeline: the
-// scheme-recompute kernel (per-task top-worker-set fan-out + greedy
-// worker-disjoint selection, Algorithm 2 step 1 + Algorithm 3) at 1/2/4/8
-// threads, and a full adaptive campaign at each thread count. Every
+// scheme-recompute kernel the adaptive assigner runs (SchemePlanner: one
+// per-task ranking fanned out over the pool, then every multi-round
+// Algorithm 3 pass; Algorithm 2 steps 1-2) at 1/2/4/8 threads, and a full
+// adaptive campaign at each thread count. Every
 // parallel variant is checked against the serial scheme before timing —
 // thread count must never change a single assignment (see DESIGN.md
 // "Concurrency model"). Speedups require real cores; on a single-core host
@@ -16,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "assign/greedy_assign.h"
+#include "assign/scheme_planner.h"
 #include "assign/top_workers.h"
 #include "common/thread_pool.h"
 #include "core/experiment.h"
@@ -48,15 +49,24 @@ double HashAccuracy(WorkerId w, TaskId t) {
   return 0.5 + 0.5 * static_cast<double>(x % 10'000) / 10'000.0;
 }
 
+// The dense p̂ rows the estimator materialises per refresh, filled once.
 struct Kernel {
   CampaignState state{kTasks, kAssignmentSize};
   std::vector<WorkerId> active;
-  AccuracyFn accuracy = HashAccuracy;
+  std::vector<std::vector<double>> accuracy;
 
   Kernel() {
     for (size_t w = 0; w < kWorkers; ++w) {
-      active.push_back(state.RegisterWorker());
+      WorkerId id = state.RegisterWorker();
+      active.push_back(id);
+      accuracy.emplace_back(kTasks);
+      for (size_t t = 0; t < kTasks; ++t) {
+        accuracy.back()[t] = HashAccuracy(id, static_cast<TaskId>(t));
+      }
     }
+  }
+  AccuracyRowFn Rows() const {
+    return [this](WorkerId w) { return accuracy[w].data(); };
   }
 };
 
@@ -89,11 +99,13 @@ bool SameScheme(const std::vector<TopWorkerSet>& a,
   return true;
 }
 
+// One AdaptiveAssigner::RecomputeScheme: the multi-round plan. `planner`
+// carries the scratch buffers across iterations, as the assigner's does.
 std::vector<TopWorkerSet> RecomputeScheme(const Kernel& kernel,
+                                          SchemePlanner& planner,
                                           ThreadPool* pool) {
-  return GreedyAssign(ComputeTopWorkerSets(kernel.state, kernel.active,
-                                           kernel.accuracy,
-                                           /*require_full=*/false, pool));
+  return planner.Plan(kernel.state, kernel.active, kernel.Rows(),
+                      /*multi_round=*/true, pool);
 }
 
 void BM_SchemeRecompute(benchmark::State& state) {
@@ -104,14 +116,15 @@ void BM_SchemeRecompute(benchmark::State& state) {
 
   // Determinism gate before timing: the parallel scheme must be
   // bit-identical to the serial one.
-  std::vector<TopWorkerSet> serial = RecomputeScheme(kernel, nullptr);
-  if (!SameScheme(serial, RecomputeScheme(kernel, pool.get()))) {
+  SchemePlanner planner;
+  std::vector<TopWorkerSet> serial = RecomputeScheme(kernel, planner, nullptr);
+  if (!SameScheme(serial, RecomputeScheme(kernel, planner, pool.get()))) {
     state.SkipWithError("parallel scheme diverged from serial scheme");
     return;
   }
 
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, pool.get());
+    auto scheme = RecomputeScheme(kernel, planner, pool.get());
     benchmark::DoNotOptimize(scheme);
   }
   state.SetItemsProcessed(state.iterations() * kTasks);
@@ -197,8 +210,9 @@ void BM_MetricsOverhead(benchmark::State& state) {
   ThreadPool pool(4);
   auto& registry = obs::MetricsRegistry::Global();
   registry.SetEnabled(enabled);
+  SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, &pool);
+    auto scheme = RecomputeScheme(kernel, planner, &pool);
     benchmark::DoNotOptimize(scheme);
   }
   registry.SetEnabled(true);
@@ -222,8 +236,9 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
   ThreadPool pool(4);
   auto& flight = obs::FlightRecorder::Global();
   flight.SetEnabled(enabled);
+  SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, &pool);
+    auto scheme = RecomputeScheme(kernel, planner, &pool);
     benchmark::DoNotOptimize(scheme);
   }
   flight.SetEnabled(true);
@@ -281,8 +296,9 @@ void BM_ScrapeOverhead(benchmark::State& state) {
       }
     });
   }
+  SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, &pool);
+    auto scheme = RecomputeScheme(kernel, planner, &pool);
     benchmark::DoNotOptimize(scheme);
   }
   if (scraped) {

@@ -1,9 +1,9 @@
 #include "assign/adaptive_assigner.h"
 
 #include <algorithm>
+#include <string>
 
-#include "assign/greedy_assign.h"
-#include "assign/top_workers.h"
+#include "assign/scheme_planner.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 
@@ -79,34 +79,20 @@ void AdaptiveAssigner::RecomputeScheme(
   planned_.clear();
   // Multi-round planning: one Algorithm 3 pass plans only a few disjoint
   // sets because the globally best workers appear in almost every top set.
-  // Removing planned workers and tasks and re-running the greedy pass plans
-  // each successive tier of workers onto the tasks they contribute most to,
-  // leaving step-3 testing as a true corner case.
-  std::vector<WorkerId> remaining_workers = active_workers;
-  std::vector<TaskId> remaining_tasks = state.UncompletedTasks();
-  AccuracyFn accuracy = estimator_->AsAccuracyFn();
-  bool first_round = true;
-  while (!remaining_workers.empty() && !remaining_tasks.empty() &&
-         (first_round || options_.multi_round_planning)) {
-    first_round = false;
-    std::vector<TopWorkerSet> candidates =
-        ComputeTopWorkerSets(remaining_tasks, state, remaining_workers,
-                             accuracy, /*require_full=*/false, pool());
-    std::vector<TopWorkerSet> scheme = GreedyAssign(std::move(candidates));
-    if (scheme.empty()) break;
-    std::unordered_set<WorkerId> used;
-    std::unordered_set<TaskId> chosen;
-    for (const TopWorkerSet& set : scheme) {
-      chosen.insert(set.task);
-      for (WorkerId w : set.workers) {
-        planned_[w] = set.task;
-        used.insert(w);
-      }
-    }
-    std::erase_if(remaining_workers,
-                  [&](WorkerId w) { return used.count(w) > 0; });
-    std::erase_if(remaining_tasks,
-                  [&](TaskId t) { return chosen.count(t) > 0; });
+  // Re-running the pass on the unplanned workers and tasks plans each
+  // successive tier of workers onto the tasks they contribute most to,
+  // leaving step-3 testing as a true corner case. The planner scores every
+  // (worker, task) pair once for all rounds (DESIGN.md §18).
+  // Scratch only, fully rewritten by every Plan: one planner per driving
+  // thread, so a host shard serving many campaigns keeps one set of
+  // buffers rather than one per campaign.
+  thread_local SchemePlanner planner;
+  std::vector<TopWorkerSet> scheme = planner.Plan(
+      state, active_workers,
+      [this](WorkerId w) { return estimator_->AccuracyRow(w); },
+      options_.multi_round_planning, pool());
+  for (const TopWorkerSet& set : scheme) {
+    for (WorkerId w : set.workers) planned_[w] = set.task;
   }
   scheme_dirty_ = false;
   planned_assignments.Increment(planned_.size());
@@ -213,18 +199,40 @@ void AdaptiveAssigner::SerializeState(BinaryWriter* writer) const {
   writer->U64(test_assignments_.load(std::memory_order_relaxed));
 }
 
-Status AdaptiveAssigner::RestoreState(BinaryReader* reader) {
+Status AdaptiveAssigner::RestoreState(BinaryReader* reader,
+                                      const CampaignState& state) {
   ICROWD_RETURN_NOT_OK(estimator_->RestoreState(reader));
+  // Worker ids index the estimator's worker table (a refresh registers a
+  // dirty worker, growing the table to its id) and task ids index the
+  // campaign state, so both are checked against the restored campaign.
+  auto known_worker = [&](WorkerId w) {
+    return w >= 0 && static_cast<size_t>(w) < state.num_workers();
+  };
   dirty_workers_.clear();
   uint64_t dirty = reader->U64();
   for (uint64_t i = 0; i < dirty && reader->ok(); ++i) {
-    dirty_workers_.insert(reader->I32());
+    WorkerId w = reader->I32();
+    if (reader->ok() && !known_worker(w)) {
+      return Status::InvalidArgument("snapshot dirty worker id " +
+                                     std::to_string(w) + " is unknown");
+    }
+    dirty_workers_.insert(w);
   }
   planned_.clear();
   uint64_t planned = reader->U64();
   for (uint64_t i = 0; i < planned && reader->ok(); ++i) {
     WorkerId w = reader->I32();
-    planned_[w] = reader->I32();
+    TaskId t = reader->I32();
+    if (!reader->ok()) break;
+    if (!known_worker(w)) {
+      return Status::InvalidArgument("snapshot planned worker id " +
+                                     std::to_string(w) + " is unknown");
+    }
+    if (t < 0 || static_cast<size_t>(t) >= state.num_tasks()) {
+      return Status::InvalidArgument("snapshot planned task id " +
+                                     std::to_string(t) + " is unknown");
+    }
+    planned_[w] = t;
   }
   scheme_dirty_ = reader->U8() != 0;
   scheme_recomputations_.store(static_cast<size_t>(reader->U64()),

@@ -31,10 +31,11 @@ struct AdaptiveAssignerOptions {
   /// bench quantifies this choice.
   bool multi_round_planning = true;
   /// Threads for the online hot path (dirty-worker estimate refresh and
-  /// per-task top-worker-set fan-out). 1 = serial; 0 = hardware
-  /// concurrency. Results are bit-identical at any value: Eq. (5) always
-  /// reads a pre-round snapshot of the refreshed workers' estimates, and
-  /// top worker sets merge in task-index order.
+  /// the planner's per-task ranking, once per scheme recompute). 1 =
+  /// serial; 0 = hardware concurrency. Results are bit-identical at any
+  /// value: Eq. (5) always reads a pre-round snapshot of the refreshed
+  /// workers' estimates, and each task's ranking is written to its own
+  /// slot.
   size_t num_threads = 1;
   /// Optional shared pool (one per campaign/process); when null and
   /// num_threads != 1 the assigner spawns its own.
@@ -113,7 +114,9 @@ class AdaptiveAssigner : public Assigner {
   /// ICrowd::Snapshot(). Wall-clock timer accumulators are not serialized
   /// and restart from zero on restore.
   void SerializeState(BinaryWriter* writer) const;
-  Status RestoreState(BinaryReader* reader);
+  /// `state` is the already restored campaign: worker and task ids in the
+  /// snapshot are checked against it.
+  Status RestoreState(BinaryReader* reader, const CampaignState& state);
 
  private:
   ThreadPool* pool() const { return options_.pool.get(); }

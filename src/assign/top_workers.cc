@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace icrowd {
 
 double TopWorkerSet::SumAccuracy() const {
@@ -17,6 +15,22 @@ double TopWorkerSet::AvgAccuracy() const {
   return SumAccuracy() / static_cast<double>(workers.size());
 }
 
+const TopSetMetrics& TopSetMetrics::Get() {
+  static const TopSetMetrics metrics = [] {
+    auto& registry = obs::MetricsRegistry::Global();
+    return TopSetMetrics{
+        registry.GetCounter("icrowd.assign.top_sets_computed",
+                            {true, "Definition 3 top worker sets computed"}),
+        registry.GetCounter(
+            "icrowd.assign.top_sets_skipped",
+            {true, "candidate sets dropped as empty or under-filled"}),
+        registry.GetHistogram("icrowd.assign.top_set_size",
+                              obs::LinearBuckets(0, 1, 8),
+                              {true, "workers per kept top worker set"})};
+  }();
+  return metrics;
+}
+
 TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
                                  const std::vector<WorkerId>& active_workers,
                                  const AccuracyFn& accuracy) {
@@ -26,25 +40,21 @@ TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
   if (slots <= 0) return result;
 
   // Eligible workers W^u(t) with their accuracy estimates.
-  std::vector<std::pair<double, WorkerId>> scored;
+  std::vector<ScoredWorker> scored;
   scored.reserve(active_workers.size());
   for (WorkerId w : active_workers) {
     if (!state.IsAssignedTo(task, w)) {
-      scored.emplace_back(accuracy(w, task), w);
+      scored.push_back({accuracy(w, task), w});
     }
   }
   size_t keep = std::min<size_t>(slots, scored.size());
-  // Descending accuracy; ties toward smaller worker id.
   std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
+                    RanksBefore());
   result.workers.reserve(keep);
   result.accuracies.reserve(keep);
   for (size_t i = 0; i < keep; ++i) {
-    result.workers.push_back(scored[i].second);
-    result.accuracies.push_back(scored[i].first);
+    result.workers.push_back(scored[i].worker);
+    result.accuracies.push_back(scored[i].accuracy);
   }
   return result;
 }
@@ -60,16 +70,7 @@ std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
     bool require_full, ThreadPool* pool) {
-  auto& registry = obs::MetricsRegistry::Global();
-  static const obs::Counter sets_computed = registry.GetCounter(
-      "icrowd.assign.top_sets_computed",
-      {true, "Definition 3 top worker sets computed"});
-  static const obs::Counter sets_skipped = registry.GetCounter(
-      "icrowd.assign.top_sets_skipped",
-      {true, "candidate sets dropped as empty or under-filled"});
-  static const obs::Histogram set_size = registry.GetHistogram(
-      "icrowd.assign.top_set_size", obs::LinearBuckets(0, 1, 8),
-      {true, "workers per kept top worker set"});
+  const TopSetMetrics& metrics = TopSetMetrics::Get();
   ICROWD_TRACE_SCOPE("assign.top_worker_sets");
   // Fan out one slot per task, then merge in index order: the output is the
   // same sequence the serial loop produces, at any thread count.
@@ -83,22 +84,22 @@ std::vector<TopWorkerSet> ComputeTopWorkerSets(
   } else {
     for (size_t i = 0; i < tasks.size(); ++i) compute_one(i);
   }
-  sets_computed.Increment(tasks.size());
+  metrics.computed.Increment(tasks.size());
   std::vector<TopWorkerSet> sets;
   sets.reserve(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     TopWorkerSet& set = per_task[i];
     if (set.empty()) {
-      sets_skipped.Increment();
+      metrics.skipped.Increment();
       continue;
     }
     if (require_full &&
         static_cast<int>(set.workers.size()) <
             state.RemainingSlots(tasks[i])) {
-      sets_skipped.Increment();
+      metrics.skipped.Increment();
       continue;
     }
-    set_size.Observe(static_cast<double>(set.workers.size()));
+    metrics.size.Observe(static_cast<double>(set.workers.size()));
     sets.push_back(std::move(set));
   }
   return sets;

@@ -1,12 +1,14 @@
 #ifndef ICROWD_ASSIGN_TOP_WORKERS_H_
 #define ICROWD_ASSIGN_TOP_WORKERS_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "estimation/observed_accuracy.h"
 #include "model/campaign_state.h"
+#include "obs/metrics.h"
 
 namespace icrowd {
 
@@ -24,6 +26,33 @@ struct TopWorkerSet {
   /// Algorithm 3's selection key Σ_w p_t^w / |Ŵ(t)|.
   double AvgAccuracy() const;
   bool empty() const { return workers.empty(); }
+};
+
+/// One scored candidate for a task's top worker set. `worker` is the
+/// worker's id, or any dense index whose order matches worker-id order.
+struct ScoredWorker {
+  double accuracy;
+  int32_t worker;
+};
+
+/// Definition 3's ranking: higher p̂ first, ties toward the smaller worker
+/// (deterministic). Every top-worker-set computation orders by this, so
+/// the single-set path and the scheme planner cannot disagree. A function
+/// object, so std::sort inlines it.
+struct RanksBefore {
+  bool operator()(const ScoredWorker& a, const ScoredWorker& b) const {
+    if (a.accuracy != b.accuracy) return a.accuracy > b.accuracy;
+    return a.worker < b.worker;
+  }
+};
+
+/// The Definition 3 metrics, recorded by ComputeTopWorkerSets and, round
+/// by round, by the scheme planner.
+struct TopSetMetrics {
+  obs::Counter computed;  // icrowd.assign.top_sets_computed
+  obs::Counter skipped;   // icrowd.assign.top_sets_skipped
+  obs::Histogram size;    // icrowd.assign.top_set_size
+  static const TopSetMetrics& Get();
 };
 
 /// Computes Ŵ(t): the k' = k - |W^d(t)| workers from `active_workers` with
@@ -46,8 +75,7 @@ std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const AccuracyFn& accuracy, bool require_full = false,
     ThreadPool* pool = nullptr);
 
-/// As above, restricted to an explicit candidate task list (used by the
-/// multi-round planner, which removes already-planned tasks per round).
+/// As above, restricted to an explicit candidate task list.
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,

@@ -748,7 +748,7 @@ Status ICrowd::ApplySnapshot(BinaryReader* reader) {
   }
   ICROWD_RETURN_NOT_OK(activity_.RestoreState(reader));
   ICROWD_RETURN_NOT_OK(warmup_.RestoreState(reader));
-  ICROWD_RETURN_NOT_OK(assigner_->RestoreState(reader));
+  ICROWD_RETURN_NOT_OK(assigner_->RestoreState(reader, state_));
   ICROWD_RETURN_NOT_OK(reader->status());
   if (!reader->AtEnd()) {
     return Status::InvalidArgument("snapshot has trailing bytes");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -51,6 +52,9 @@ void AccuracyEstimator::RegisterWorker(WorkerId worker,
   model.registered = true;
   model.warmup_accuracy = ClampProbability(warmup_accuracy, 0.02);
   model.fallback = model.warmup_accuracy;
+  // The fallback feeds every task's calibration, including a re-registered
+  // worker's existing estimate.
+  MaterializeRow(model);
 }
 
 void AccuracyEstimator::EnsureRegistered(WorkerId worker) {
@@ -133,11 +137,11 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
   model.numerator = engine_.EstimateFromObserved(weighted);
   model.mass = engine_.EstimateFromObserved(mask);
   model.has_estimate = true;
+  MaterializeRow(model);
 }
 
-double AccuracyEstimator::AccuracyFromModel(const WorkerModel& model,
-                                            TaskId task) const {
-  if (!model.registered) return options_.default_accuracy;
+double AccuracyEstimator::CalibratedAccuracy(const WorkerModel& model,
+                                             TaskId task) const {
   if (!model.has_estimate || task < 0 ||
       static_cast<size_t>(task) >= model.mass.size()) {
     return model.fallback;
@@ -148,6 +152,25 @@ double AccuracyEstimator::AccuracyFromModel(const WorkerModel& model,
   double p = (model.numerator[task] + prior_mass * model.fallback) /
              (mass + prior_mass);
   return ClampProbability(p, 0.02);
+}
+
+void AccuracyEstimator::MaterializeRow(WorkerModel& model) const {
+  // One calibration per (worker, task) per change of its inputs, instead of
+  // one per lookup: the scheme planner and Eq. (5) read p̂ far more often
+  // than a worker's estimate changes.
+  model.accuracy.resize(num_tasks());
+  for (size_t t = 0; t < model.accuracy.size(); ++t) {
+    model.accuracy[t] = CalibratedAccuracy(model, static_cast<TaskId>(t));
+  }
+}
+
+double AccuracyEstimator::AccuracyFromModel(const WorkerModel& model,
+                                            TaskId task) const {
+  if (!model.registered) return options_.default_accuracy;
+  if (task < 0 || static_cast<size_t>(task) >= model.accuracy.size()) {
+    return model.fallback;
+  }
+  return model.accuracy[task];
 }
 
 double AccuracyEstimator::Accuracy(WorkerId worker, TaskId task) const {
@@ -168,7 +191,13 @@ AccuracyFn AccuracyEstimator::SnapshotAccuracyFn(
   for (WorkerId w : workers) {
     // Unregistered workers freeze as a default model (registered = false),
     // matching what Accuracy() would have returned for them right now.
-    (*frozen)[w] = IsRegistered(w) ? workers_[w] : WorkerModel{};
+    // AccuracyFromModel reads only these three fields, so the propagated
+    // vectors stay behind.
+    WorkerModel& copy = (*frozen)[w];
+    if (!IsRegistered(w)) continue;
+    copy.registered = true;
+    copy.fallback = workers_[w].fallback;
+    copy.accuracy = workers_[w].accuracy;
   }
   return [this, frozen](WorkerId w, TaskId t) {
     auto it = frozen->find(w);
@@ -233,25 +262,45 @@ void AccuracyEstimator::SerializeState(BinaryWriter* writer) const {
 Status AccuracyEstimator::RestoreState(BinaryReader* reader) {
   uint64_t count = reader->U64();
   workers_.clear();
+  std::vector<WorkerModel> models;
   for (uint64_t i = 0; i < count && reader->ok(); ++i) {
     WorkerModel model;
     model.registered = reader->U8() != 0;
-    bool has_estimate = reader->U8() != 0;
+    model.has_estimate = reader->U8() != 0;
     model.warmup_accuracy = reader->F64();
     model.fallback = model.warmup_accuracy;
     uint64_t observed = reader->U64();
     for (uint64_t j = 0; j < observed && reader->ok(); ++j) {
       TaskId task = reader->I32();
       double q = reader->F64();
+      if (!reader->ok()) break;
+      // Every entry is checked before any rebuild: the PPR combine indexes
+      // its seed vectors by task id.
+      if (task < 0 || static_cast<size_t>(task) >= num_tasks()) {
+        return Status::InvalidArgument(
+            "snapshot observed-accuracy task id " + std::to_string(task) +
+            " is outside [0, " + std::to_string(num_tasks()) + ")");
+      }
+      if (!(q >= 0.0 && q <= 1.0)) {
+        return Status::InvalidArgument(
+            "snapshot observed accuracy is outside [0, 1]");
+      }
       model.observed.emplace_back(task, q);
     }
-    if (!reader->ok()) break;
+    models.push_back(std::move(model));
+  }
+  ICROWD_RETURN_NOT_OK(reader->status());
+  for (WorkerModel& model : models) {
     // numerator/mass are pure functions of (observed, warmup_accuracy);
     // rebuilding through the Refresh code path reproduces them bit-exactly.
-    if (has_estimate) RebuildModelFromObserved(model);
-    workers_.push_back(std::move(model));
+    if (model.has_estimate) {
+      RebuildModelFromObserved(model);
+    } else if (model.registered) {
+      MaterializeRow(model);
+    }
   }
-  return reader->status();
+  workers_ = std::move(models);
+  return Status::OK();
 }
 
 }  // namespace icrowd

@@ -124,8 +124,17 @@ class AccuracyEstimator {
 
   /// Estimated p_t^w. Falls back to the worker's average accuracy on tasks
   /// unreachable from its observations, and to default_accuracy for
-  /// unregistered workers.
+  /// unregistered workers. One load from the worker's materialised row.
   double Accuracy(WorkerId worker, TaskId task) const;
+
+  /// The worker's dense p̂ row: row[t] == Accuracy(worker, t) for every
+  /// t < num_tasks(). Rows are materialised whenever their inputs change
+  /// (RegisterWorker, Refresh, RestoreState); the pointer is valid until
+  /// the estimator's next such call.
+  const double* AccuracyRow(WorkerId worker) const {
+    if (!IsRegistered(worker)) return default_row_.data();
+    return workers_[worker].accuracy.data();
+  }
 
   /// Worker's average observed accuracy (the warm-up average until data
   /// accumulates).
@@ -163,19 +172,34 @@ class AccuracyEstimator {
     SparseEntries observed;
     std::vector<double> numerator;  // Σ_j q_j · m_j(i)
     std::vector<double> mass;       // Σ_j m_j(i)
+    /// Calibrated p̂ over every task (registered models only): the
+    /// CalibratedAccuracy of (numerator, mass, fallback), kept current by
+    /// MaterializeRow.
+    std::vector<double> accuracy;
     bool has_estimate = false;
   };
 
   AccuracyEstimator(PprEngine engine, AccuracyEstimatorOptions options)
-      : engine_(std::move(engine)), options_(options) {}
+      : engine_(std::move(engine)),
+        options_(options),
+        default_row_(engine_.num_tasks(), options_.default_accuracy) {}
 
-  /// The Accuracy() calibration applied to an explicit model (live or a
-  /// snapshot copy). `model.registered` must reflect the worker's state.
+  /// The calibration formula of the class comment, evaluated from the
+  /// model's numerator, mass and fallback. Only MaterializeRow calls it.
+  double CalibratedAccuracy(const WorkerModel& model, TaskId task) const;
+
+  /// Refills model.accuracy from CalibratedAccuracy; call after any change
+  /// to the model's fallback or numerator/mass.
+  void MaterializeRow(WorkerModel& model) const;
+
+  /// Accuracy() served from a model's row (live or a snapshot copy).
+  /// `model.registered` must reflect the worker's state.
   double AccuracyFromModel(const WorkerModel& model, TaskId task) const;
 
   /// Recomputes fallback/numerator/mass from model.observed and
-  /// model.warmup_accuracy and sets has_estimate. Shared by Refresh and
-  /// RestoreState so both derive the estimate through identical arithmetic.
+  /// model.warmup_accuracy, sets has_estimate and materialises the row.
+  /// Shared by Refresh and RestoreState so both derive the estimate through
+  /// identical arithmetic.
   void RebuildModelFromObserved(WorkerModel& model);
 
   double SeedSelfMass() const {
@@ -186,6 +210,8 @@ class AccuracyEstimator {
   AccuracyEstimatorOptions options_;
   std::set<TaskId> qualification_;
   std::vector<WorkerModel> workers_;
+  /// AccuracyRow() of every unregistered worker.
+  std::vector<double> default_row_;
   SparseEntries empty_observed_;
 };
 

@@ -20,8 +20,11 @@
 // the SimilarityGraph (breaking), so a campaign solves its PPR seeds once;
 // AccuracyEstimator::FromEngine/ValidateOptions and
 // SelectCampaignQualification joined the surface.
+// 3.1: GreedySelect/GreedyCandidate (the shared Algorithm 3 kernel),
+// ScoredWorker/RanksBefore/TopSetMetrics and AccuracyEstimator::AccuracyRow
+// joined the surface; every existing signature is unchanged.
 #define ICROWD_API_VERSION_MAJOR 3
-#define ICROWD_API_VERSION_MINOR 0
+#define ICROWD_API_VERSION_MINOR 1
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)
 

@@ -196,6 +196,14 @@ Status CampaignState::RestoreState(BinaryReader* reader) {
         "campaign snapshot shape (num_tasks, k) does not match this state");
   }
   num_workers_ = reader->U64();
+  // The snapshot's worker-status table that follows stores one byte per
+  // worker, so a larger count cannot be genuine — and must not size the
+  // per-worker answer logs below.
+  if (num_workers_ > reader->remaining()) {
+    return Status::InvalidArgument(
+        "snapshot worker count " + std::to_string(num_workers_) +
+        " exceeds the bytes that follow it");
+  }
   num_completed_ = reader->U64();
   for (TaskState& task : tasks_) {
     task = TaskState();

@@ -396,8 +396,8 @@ double Gauge::Value() const {
       registry_->gauges_[slot_].load(std::memory_order_relaxed));
 }
 
-void Histogram::Observe(double v) const {
-  if (registry_ == nullptr || !registry_->enabled()) return;
+void Histogram::Observe(double v, uint64_t count) const {
+  if (count == 0 || registry_ == nullptr || !registry_->enabled()) return;
   MetricsRegistry::Shard* shard = registry_->LocalShard();
   const std::vector<double>& bounds = *bounds_;
   size_t bucket = bounds.size();  // overflow (also where NaN lands)
@@ -405,9 +405,11 @@ void Histogram::Observe(double v) const {
     bucket = static_cast<size_t>(
         std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
   }
-  shard->cells[cell_ + bucket].fetch_add(1, std::memory_order_relaxed);
+  shard->cells[cell_ + bucket].fetch_add(static_cast<int64_t>(count),
+                                         std::memory_order_relaxed);
   shard->cells[cell_ + bounds.size() + 1].fetch_add(
-      ToFixedPoint(v), std::memory_order_relaxed);
+      ToFixedPoint(v) * static_cast<int64_t>(count),
+      std::memory_order_relaxed);
 }
 
 int64_t MetricsRegistry::SumCell(uint32_t cell) const {

@@ -99,7 +99,9 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  void Observe(double v) const;
+  /// Records `count` observations of `v`; the result is identical to
+  /// `count` single-value calls (the fixed-point sum is integer).
+  void Observe(double v, uint64_t count = 1) const;
 
  private:
   friend class MetricsRegistry;

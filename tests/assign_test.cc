@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "assign/adaptive_assigner.h"
@@ -11,9 +13,12 @@
 #include "assign/greedy_assign.h"
 #include "assign/random_assigner.h"
 #include "assign/scalable_assign.h"
+#include "assign/scheme_planner.h"
 #include "assign/top_workers.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "graph/similarity_graph.h"
+#include "obs/metrics.h"
 
 namespace icrowd {
 namespace {
@@ -151,6 +156,271 @@ TEST(GreedyAssignTest, SkipsEmptyCandidates) {
   auto scheme = GreedyAssign({MakeSet(0, {}, {}), MakeSet(1, {2}, {0.9})});
   ASSERT_EQ(scheme.size(), 1u);
   EXPECT_EQ(scheme[0].task, 1);
+}
+
+// --------------------------------------------------------- SchemePlanner --
+
+// Algorithm 3 as GreedyAssign implemented it before the shared kernel: a
+// lazy heap popped one candidate at a time until the worker universe is
+// used up, recording the same metrics one pop at a time. The reference for
+// the kernel's results and its counted (not made) pops.
+std::vector<TopWorkerSet> ReferenceGreedyAssign(
+    std::vector<TopWorkerSet> candidates) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::Counter heap_pops = registry.GetCounter(
+      "icrowd.assign.heap_pops",
+      {true, "candidate sets popped off the Algorithm 3 lazy heap"});
+  const obs::Counter conflict_rejections = registry.GetCounter(
+      "icrowd.assign.conflict_rejections",
+      {true, "popped sets rejected for overlapping an already-used worker"});
+  const obs::Counter scheme_sets = registry.GetCounter(
+      "icrowd.assign.scheme_sets",
+      {true, "disjoint sets accepted into assignment schemes"});
+  const obs::Histogram scheme_avg_accuracy = registry.GetHistogram(
+      "icrowd.assign.scheme_avg_accuracy", obs::LinearBuckets(0.1, 0.1, 9),
+      {true, "average estimated accuracy of each accepted set"});
+  std::vector<double> avg(candidates.size());
+  std::set<WorkerId> universe;
+  std::vector<size_t> heap;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].empty()) continue;
+    avg[i] = candidates[i].AvgAccuracy();
+    heap.push_back(i);
+    universe.insert(candidates[i].workers.begin(),
+                    candidates[i].workers.end());
+  }
+  auto worse = [&](size_t a, size_t b) {
+    if (avg[a] != avg[b]) return avg[a] < avg[b];
+    return candidates[a].task > candidates[b].task;
+  };
+  std::make_heap(heap.begin(), heap.end(), worse);
+  std::vector<TopWorkerSet> scheme;
+  std::set<WorkerId> used;
+  while (!heap.empty() && used.size() < universe.size()) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    size_t index = heap.back();
+    heap.pop_back();
+    heap_pops.Increment();
+    bool overlaps = false;
+    for (WorkerId w : candidates[index].workers) {
+      if (used.count(w)) overlaps = true;
+    }
+    if (overlaps) {
+      conflict_rejections.Increment();
+      continue;
+    }
+    used.insert(candidates[index].workers.begin(),
+                candidates[index].workers.end());
+    scheme_sets.Increment();
+    scheme_avg_accuracy.Observe(avg[index]);
+    scheme.push_back(std::move(candidates[index]));
+  }
+  return scheme;
+}
+
+// The multi-round loop SchemePlanner replaced, kept as the reference: each
+// round recomputes every remaining task's top worker set from scratch over
+// the remaining workers, runs Algorithm 3, and erases what it planned.
+std::vector<TopWorkerSet> ReferencePlan(const CampaignState& state,
+                                        const std::vector<WorkerId>& active,
+                                        const AccuracyFn& accuracy,
+                                        bool multi_round, ThreadPool* pool) {
+  std::vector<TopWorkerSet> plan;
+  std::vector<WorkerId> remaining_workers = active;
+  std::vector<TaskId> remaining_tasks = state.UncompletedTasks();
+  bool first_round = true;
+  while (!remaining_workers.empty() && !remaining_tasks.empty() &&
+         (first_round || multi_round)) {
+    first_round = false;
+    std::vector<TopWorkerSet> scheme = ReferenceGreedyAssign(
+        ComputeTopWorkerSets(remaining_tasks, state, remaining_workers,
+                             accuracy, /*require_full=*/false, pool));
+    if (scheme.empty()) break;
+    std::set<WorkerId> used;
+    std::set<TaskId> chosen;
+    for (const TopWorkerSet& set : scheme) {
+      chosen.insert(set.task);
+      used.insert(set.workers.begin(), set.workers.end());
+    }
+    std::erase_if(remaining_workers,
+                  [&](WorkerId w) { return used.count(w) > 0; });
+    std::erase_if(remaining_tasks,
+                  [&](TaskId t) { return chosen.count(t) > 0; });
+    for (TopWorkerSet& set : scheme) plan.push_back(std::move(set));
+  }
+  return plan;
+}
+
+struct PlannerInstance {
+  CampaignState state{1, 1};
+  std::vector<WorkerId> active;
+  std::vector<std::vector<double>> rows;  // rows[w][t] = p̂
+};
+
+// A seeded random campaign snapshot exercising every planner edge: p̂ drawn
+// from a few levels (ties everywhere), tasks partly assigned, tasks with no
+// slot left, qualification tasks assigned past k, completed tasks, active
+// workers already on a task, and an unsorted active list.
+PlannerInstance RandomPlannerInstance(uint64_t seed) {
+  Rng rng(seed);
+  const size_t num_tasks = static_cast<size_t>(rng.UniformInt(1, 40));
+  const size_t num_workers = static_cast<size_t>(rng.UniformInt(1, 30));
+  const int k = static_cast<int>(2 * rng.UniformInt(0, 2) + 1);
+  PlannerInstance instance;
+  instance.state = CampaignState(num_tasks, k);
+  CampaignState& state = instance.state;
+  for (size_t w = 0; w < num_workers; ++w) state.RegisterWorker();
+  const int64_t levels = rng.UniformInt(1, 6);
+  instance.rows.assign(num_workers, std::vector<double>(num_tasks));
+  for (auto& row : instance.rows) {
+    for (double& p : row) {
+      p = 0.5 + 0.08 * static_cast<double>(rng.UniformInt(0, levels - 1));
+    }
+  }
+  for (size_t t = 0; t < num_tasks; ++t) {
+    const TaskId task = static_cast<TaskId>(t);
+    double kind = rng.Uniform();
+    if (kind < 0.1) {
+      state.ForceComplete(task, kYes);
+    } else if (kind < 0.2) {
+      // Qualification tasks take every worker; k' ends at or below zero.
+      state.MarkQualification(task);
+      for (size_t w = 0; w < num_workers && w < static_cast<size_t>(k) + 1;
+           ++w) {
+        EXPECT_TRUE(state.MarkAssigned(task, static_cast<WorkerId>(w)).ok());
+      }
+    } else if (kind < 0.3) {
+      // Zero remaining slots, still uncompleted.
+      for (size_t i : rng.SampleWithoutReplacement(
+               num_workers, std::min<size_t>(num_workers, k))) {
+        EXPECT_TRUE(state.MarkAssigned(task, static_cast<WorkerId>(i)).ok());
+      }
+    } else if (kind < 0.6) {
+      // Partly assigned.
+      size_t taken = static_cast<size_t>(rng.UniformInt(1, k));
+      for (size_t i : rng.SampleWithoutReplacement(
+               num_workers, std::min<size_t>(num_workers, taken))) {
+        (void)state.MarkAssigned(task, static_cast<WorkerId>(i));
+      }
+    }
+  }
+  for (size_t w = 0; w < num_workers; ++w) {
+    if (rng.Bernoulli(0.8)) instance.active.push_back(static_cast<WorkerId>(w));
+  }
+  std::reverse(instance.active.begin(), instance.active.end());
+  if (instance.active.size() > 2) {
+    std::swap(instance.active[0], instance.active[instance.active.size() / 2]);
+  }
+  return instance;
+}
+
+std::string AssignMetrics() {
+  obs::ExportOptions options;
+  options.deterministic = true;
+  options.include_spans = false;
+  options.include_events = false;
+  std::string dump =
+      obs::MetricsRegistry::Global().ExportJsonlString(options);
+  std::string kept;
+  size_t start = 0;
+  while (start < dump.size()) {
+    size_t end = dump.find('\n', start);
+    if (end == std::string::npos) end = dump.size();
+    std::string line = dump.substr(start, end - start);
+    if (line.find("\"icrowd.assign.") != std::string::npos) {
+      kept += line + "\n";
+    }
+    start = end + 1;
+  }
+  return kept;
+}
+
+TEST(SchemePlannerTest, MatchesRoundLoopReferenceOnRandomInstances) {
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool8};
+  SchemePlanner planner;  // one planner: scratch reuse across calls
+  auto& registry = obs::MetricsRegistry::Global();
+  size_t nonempty_multi_round = 0;
+  for (uint64_t seed = 1; seed <= 240; ++seed) {
+    PlannerInstance instance = RandomPlannerInstance(seed);
+    const auto& rows = instance.rows;
+    AccuracyFn accuracy = [&rows](WorkerId w, TaskId t) {
+      return rows[w][t];
+    };
+    AccuracyRowFn row_of = [&rows](WorkerId w) { return rows[w].data(); };
+    for (bool multi_round : {true, false}) {
+      for (ThreadPool* pool : pools) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " multi_round " << multi_round
+                     << " threads " << (pool ? pool->num_threads() : 0));
+        registry.ResetForTesting();
+        std::vector<TopWorkerSet> expected = ReferencePlan(
+            instance.state, instance.active, accuracy, multi_round, pool);
+        std::string expected_metrics = AssignMetrics();
+        registry.ResetForTesting();
+        std::vector<TopWorkerSet> plan = planner.Plan(
+            instance.state, instance.active, row_of, multi_round, pool);
+        ASSERT_EQ(plan.size(), expected.size());
+        for (size_t i = 0; i < plan.size(); ++i) {
+          EXPECT_EQ(plan[i].task, expected[i].task);
+          EXPECT_EQ(plan[i].workers, expected[i].workers);
+          // Bitwise: the planner reads the same p̂ values.
+          EXPECT_EQ(plan[i].accuracies, expected[i].accuracies);
+        }
+        EXPECT_EQ(AssignMetrics(), expected_metrics);
+        if (multi_round && pool == nullptr && expected.size() > 1) {
+          ++nonempty_multi_round;
+        }
+      }
+    }
+  }
+  // The generator must actually exercise multi-set, multi-round plans.
+  EXPECT_GT(nonempty_multi_round, 100u);
+}
+
+TEST(SchemePlannerTest, GreedyAssignMatchesReferenceHeap) {
+  auto& registry = obs::MetricsRegistry::Global();
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const size_t num_workers = static_cast<size_t>(rng.UniformInt(1, 25));
+    const int64_t levels = rng.UniformInt(1, 5);
+    std::vector<TopWorkerSet> candidates;
+    for (TaskId t = 0; t < static_cast<TaskId>(rng.UniformInt(0, 60)); ++t) {
+      size_t size = static_cast<size_t>(
+          rng.UniformInt(0, std::min<int64_t>(4, num_workers)));
+      std::vector<WorkerId> workers;
+      std::vector<double> accuracies;
+      for (size_t w : rng.SampleWithoutReplacement(num_workers, size)) {
+        workers.push_back(static_cast<WorkerId>(w));
+        accuracies.push_back(
+            0.5 + 0.1 * static_cast<double>(rng.UniformInt(0, levels - 1)));
+      }
+      candidates.push_back(MakeSet(t, workers, accuracies));
+    }
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    registry.ResetForTesting();
+    std::vector<TopWorkerSet> expected = ReferenceGreedyAssign(candidates);
+    std::string expected_metrics = AssignMetrics();
+    registry.ResetForTesting();
+    std::vector<TopWorkerSet> scheme = GreedyAssign(candidates);
+    ASSERT_EQ(scheme.size(), expected.size());
+    for (size_t i = 0; i < scheme.size(); ++i) {
+      EXPECT_EQ(scheme[i].task, expected[i].task);
+      EXPECT_EQ(scheme[i].workers, expected[i].workers);
+    }
+    EXPECT_EQ(AssignMetrics(), expected_metrics);
+  }
+}
+
+TEST(SchemePlannerTest, EmptyInputsPlanNothing) {
+  CampaignState state(3, 3);
+  for (int i = 0; i < 2; ++i) state.RegisterWorker();
+  std::vector<double> row(3, 0.7);
+  AccuracyRowFn row_of = [&row](WorkerId) { return row.data(); };
+  SchemePlanner planner;
+  EXPECT_TRUE(planner.Plan(state, {}, row_of, true).empty());
+  for (TaskId t = 0; t < 3; ++t) state.ForceComplete(t, kYes);
+  EXPECT_TRUE(planner.Plan(state, {0, 1}, row_of, true).empty());
 }
 
 // ----------------------------------------------------------- ExactAssign --

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/binary_io.h"
+#include "common/math_util.h"
 #include "estimation/accuracy_estimator.h"
 #include "estimation/observed_accuracy.h"
 #include "graph/similarity_graph.h"
@@ -267,6 +269,134 @@ TEST_F(AccuracyEstimatorTest, EstimatesStayInProbabilityRange) {
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 1.0);
   }
+}
+
+// Accuracy() is one load from a row materialised when the model changes.
+// The oracle below recomputes the class comment's calibration from the
+// model's inputs — numerator and mass rebuilt from Observed() exactly as a
+// refresh builds them, and FallbackAccuracy() — so every (worker, task)
+// pair can be compared bitwise.
+double CalibrationOracle(const AccuracyEstimator& est,
+                         const AccuracyEstimatorOptions& options,
+                         WorkerId w, TaskId t, bool has_estimate) {
+  if (!est.IsRegistered(w)) return options.default_accuracy;
+  double fallback = est.FallbackAccuracy(w);
+  if (!has_estimate) return fallback;
+  SparseEntries weighted;
+  SparseEntries mask;
+  for (const auto& [task, q] : est.Observed(w)) {
+    double confidence = std::abs(2.0 * q - 1.0);
+    weighted.emplace_back(task, q * confidence);
+    mask.emplace_back(task, confidence);
+  }
+  std::vector<double> numerator = est.engine().EstimateFromObserved(weighted);
+  std::vector<double> mass = est.engine().EstimateFromObserved(mask);
+  if (mass[t] <= options.min_mass) return fallback;
+  double alpha = est.engine().alpha();
+  double prior_mass = options.prior_strength * (alpha / (1.0 + alpha));
+  double p = (numerator[t] + prior_mass * fallback) / (mass[t] + prior_mass);
+  return ClampProbability(p, 0.02);
+}
+
+// Workers 0-2 answer qualification task 0 (gold) and consensus task 4
+// (a 2-1 split, so Eq. (5) grades are fractional); worker 3 registers with
+// no answers; worker 4 is never registered.
+class EstimatorRowTest : public AccuracyEstimatorTest {
+ protected:
+  EstimatorRowTest() : state_(dataset_.size(), 3) {
+    for (int i = 0; i < 5; ++i) state_.RegisterWorker();
+    state_.MarkQualification(0);
+    state_.ForceComplete(0, kYes);
+    const Label answers[] = {kYes, kNo, kYes};
+    for (WorkerId w = 0; w < 3; ++w) {
+      EXPECT_TRUE(state_.MarkAssigned(0, w).ok());
+      EXPECT_TRUE(state_.RecordAnswer({0, w, answers[w], 0.0}).ok());
+      EXPECT_TRUE(state_.MarkAssigned(4, w).ok());
+      EXPECT_TRUE(state_.RecordAnswer({4, w, answers[2 - w], 1.0}).ok());
+    }
+    EXPECT_TRUE(state_.IsCompleted(4));
+  }
+
+  AccuracyEstimator Refreshed() {
+    AccuracyEstimator est = MakeEstimator(options_);
+    est.SetQualificationTasks({0});
+    est.RegisterWorker(0, 0.7);
+    est.RegisterWorker(1, 0.55);
+    est.RegisterWorker(2, 0.9);
+    est.RegisterWorker(3, 0.65);
+    est.RefreshMany({0, 1, 2}, state_, dataset_, nullptr);
+    return est;
+  }
+
+  void ExpectRowsMatchOracle(const AccuracyEstimator& est,
+                             const std::vector<bool>& has_estimate) {
+    for (WorkerId w = 0; w < 5; ++w) {
+      const double* row = est.AccuracyRow(w);
+      for (TaskId t = 0; t < static_cast<TaskId>(dataset_.size()); ++t) {
+        double expected =
+            CalibrationOracle(est, options_, w, t, has_estimate[w]);
+        // EXPECT_EQ on doubles is exact: the row must be bit-identical.
+        EXPECT_EQ(est.Accuracy(w, t), expected) << "w=" << w << " t=" << t;
+        EXPECT_EQ(row[t], expected) << "w=" << w << " t=" << t;
+      }
+    }
+  }
+
+  AccuracyEstimatorOptions options_;
+  CampaignState state_;
+};
+
+TEST_F(EstimatorRowTest, RowsEqualCalibrationAfterRefresh) {
+  AccuracyEstimator est = Refreshed();
+  ASSERT_FALSE(est.Observed(1).empty());
+  ExpectRowsMatchOracle(est, {true, true, true, false, false});
+}
+
+TEST_F(EstimatorRowTest, RowsEqualCalibrationAfterRestore) {
+  AccuracyEstimator est = Refreshed();
+  BinaryWriter writer;
+  est.SerializeState(&writer);
+  AccuracyEstimator restored = MakeEstimator(options_);
+  BinaryReader reader(writer.data());
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  ExpectRowsMatchOracle(restored, {true, true, true, false, false});
+  for (WorkerId w = 0; w < 5; ++w) {
+    for (TaskId t = 0; t < static_cast<TaskId>(dataset_.size()); ++t) {
+      EXPECT_EQ(restored.Accuracy(w, t), est.Accuracy(w, t));
+    }
+  }
+}
+
+TEST_F(EstimatorRowTest, SnapshotServesPreRefreshRows) {
+  AccuracyEstimator est = Refreshed();
+  std::vector<double> before;
+  for (WorkerId w = 0; w < 5; ++w) {
+    for (TaskId t = 0; t < static_cast<TaskId>(dataset_.size()); ++t) {
+      before.push_back(CalibrationOracle(est, options_, w, t, w < 3));
+    }
+  }
+  AccuracyFn snapshot = est.SnapshotAccuracyFn({0, 2, 4});
+  // Re-grade against a different co-worker view: the live rows change, the
+  // snapshot's frozen workers must not.
+  est.Refresh(0, state_, dataset_, [](WorkerId, TaskId) { return 0.95; });
+  est.Refresh(2, state_, dataset_, [](WorkerId, TaskId) { return 0.6; });
+  size_t i = 0;
+  for (WorkerId w = 0; w < 5; ++w) {
+    for (TaskId t = 0; t < static_cast<TaskId>(dataset_.size()); ++t, ++i) {
+      EXPECT_EQ(snapshot(w, t), before[i]) << "w=" << w << " t=" << t;
+    }
+  }
+  ExpectRowsMatchOracle(est, {true, true, true, false, false});
+}
+
+TEST_F(EstimatorRowTest, ReRegisteringRecalibratesTheRow) {
+  AccuracyEstimator est = Refreshed();
+  double old_fallback = est.FallbackAccuracy(1);
+  // RegisterWorker resets the fallback but keeps the propagated estimate,
+  // so every task's calibration moves with the new fallback.
+  est.RegisterWorker(1, 0.95);
+  ASSERT_NE(est.FallbackAccuracy(1), old_fallback);
+  ExpectRowsMatchOracle(est, {true, true, true, false, false});
 }
 
 class PriorStrengthTest : public ::testing::TestWithParam<double> {};

@@ -9,6 +9,7 @@
 // uploads them as the failure artifact).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/binary_io.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
 #include "ingest/event.h"
@@ -445,6 +447,167 @@ TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
   // Nothing to restore from.
   EXPECT_FALSE(ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, {})
                    .ok());
+}
+
+// ---------------------------------------------- corrupted snapshot fields --
+
+// Each case writes one bad value into a valid snapshot of a finished
+// campaign; Restore must answer InvalidArgument, never crash or allocate
+// what the bad value asks for.
+uint64_t GetU64(const std::vector<uint8_t>& bytes, size_t at) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+void PutU64(std::vector<uint8_t>* bytes, size_t at, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+std::vector<uint8_t> EncodeI32s(std::initializer_list<int32_t> values) {
+  BinaryWriter writer;
+  for (int32_t v : values) writer.I32(v);
+  return writer.Release();
+}
+
+class CorruptSnapshotTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kSeed = 5;
+  // Header (magic, version, fingerprint, events, now) then the campaign
+  // state's (num_tasks, k) before its worker count.
+  static constexpr size_t kWorkerCountAt = 4 + 4 + 8 + 8 + 8 + 8 + 4;
+
+  void SetUp() override {
+    obs::MetricsRegistry::Global().ResetForTesting();
+    Dataset dataset = MakeDataset();
+    num_tasks_ = dataset.size();
+    std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
+    auto system = ICrowd::Create(std::move(dataset), MakeConfig(kSeed),
+                                 MakeHost(1))
+                      .MoveValueOrDie();
+    CampaignDriverOptions options;
+    options.seed = kSeed;
+    ASSERT_TRUE(
+        DriveCampaign(system.get(), profiles, kNumWorkers, options).ok());
+    snapshot_ = system->Snapshot().MoveValueOrDie();
+    num_workers_ = system->state().num_workers();
+    ASSERT_EQ(GetU64(snapshot_, kWorkerCountAt), num_workers_);
+    // The assigner's section starts with the estimator's state, which is a
+    // long, unique byte string inside the snapshot.
+    BinaryWriter estimator;
+    system->estimator().SerializeState(&estimator);
+    auto at = std::search(snapshot_.begin(), snapshot_.end(),
+                          estimator.data().begin(), estimator.data().end());
+    ASSERT_NE(at, snapshot_.end());
+    estimator_at_ = static_cast<size_t>(at - snapshot_.begin());
+    estimator_size_ = estimator.size();
+  }
+
+  Status Restore(const std::vector<uint8_t>& snapshot) const {
+    return ICrowd::Restore(MakeDataset(), MakeConfig(kSeed), snapshot, {})
+        .status();
+  }
+
+  void ExpectRejected(const std::vector<uint8_t>& snapshot) const {
+    Status status = Restore(snapshot);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+
+  // Offset of the first observed (task id, q) entry in the estimator state.
+  size_t FirstObservedEntry() const {
+    size_t pos = estimator_at_;
+    uint64_t workers = GetU64(snapshot_, pos);
+    pos += 8;
+    for (uint64_t w = 0; w < workers; ++w) {
+      pos += 1 + 1 + 8;  // registered, has_estimate, warm-up accuracy
+      uint64_t observed = GetU64(snapshot_, pos);
+      pos += 8;
+      if (observed > 0) return pos;
+      pos += observed * 12;
+    }
+    ADD_FAILURE() << "no observed entries in the snapshot";
+    return 0;
+  }
+
+  size_t DirtyCountAt() const { return estimator_at_ + estimator_size_; }
+  size_t PlannedCountAt() const {
+    return DirtyCountAt() + 8 + 4 * GetU64(snapshot_, DirtyCountAt());
+  }
+
+  // The snapshot with `entry` prepended to the list counted at `count_at`.
+  std::vector<uint8_t> WithEntry(size_t count_at,
+                                 const std::vector<uint8_t>& entry) const {
+    std::vector<uint8_t> bytes = snapshot_;
+    PutU64(&bytes, count_at, GetU64(bytes, count_at) + 1);
+    bytes.insert(bytes.begin() + static_cast<long>(count_at + 8),
+                 entry.begin(), entry.end());
+    return bytes;
+  }
+
+  std::vector<uint8_t> snapshot_;
+  size_t num_tasks_ = 0;
+  size_t num_workers_ = 0;
+  size_t estimator_at_ = 0;
+  size_t estimator_size_ = 0;
+};
+
+TEST_F(CorruptSnapshotTest, UnmodifiedSnapshotRestores) {
+  EXPECT_TRUE(Restore(snapshot_).ok());
+  // The list editing itself keeps a snapshot valid.
+  EXPECT_TRUE(Restore(WithEntry(DirtyCountAt(), EncodeI32s({0}))).ok());
+}
+
+TEST_F(CorruptSnapshotTest, WorkerCountBeyondTheSnapshotIsRejected) {
+  std::vector<uint8_t> bytes = snapshot_;
+  PutU64(&bytes, kWorkerCountAt, uint64_t{1} << 40);
+  ExpectRejected(bytes);
+  PutU64(&bytes, kWorkerCountAt, bytes.size());
+  ExpectRejected(bytes);
+}
+
+TEST_F(CorruptSnapshotTest, ObservedTaskIdOutOfRangeIsRejected) {
+  size_t entry = FirstObservedEntry();
+  for (int32_t bad : {static_cast<int32_t>(num_tasks_), -1, 1 << 30}) {
+    std::vector<uint8_t> bytes = snapshot_;
+    std::vector<uint8_t> id = EncodeI32s({bad});
+    std::copy(id.begin(), id.end(), bytes.begin() + static_cast<long>(entry));
+    ExpectRejected(bytes);
+  }
+}
+
+TEST_F(CorruptSnapshotTest, ObservedAccuracyOutsideUnitIntervalIsRejected) {
+  size_t q_at = FirstObservedEntry() + 4;
+  for (double bad : {1.5, -0.25, std::nan("")}) {
+    std::vector<uint8_t> bytes = snapshot_;
+    BinaryWriter q;
+    q.F64(bad);
+    std::copy(q.data().begin(), q.data().end(),
+              bytes.begin() + static_cast<long>(q_at));
+    ExpectRejected(bytes);
+  }
+}
+
+TEST_F(CorruptSnapshotTest, UnknownDirtyWorkerIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(num_workers_), -1, 1 << 30}) {
+    ExpectRejected(WithEntry(DirtyCountAt(), EncodeI32s({bad})));
+  }
+}
+
+TEST_F(CorruptSnapshotTest, UnknownPlannedWorkerIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(num_workers_), -1, 1 << 30}) {
+    ExpectRejected(WithEntry(PlannedCountAt(), EncodeI32s({bad, 0})));
+  }
+}
+
+TEST_F(CorruptSnapshotTest, UnknownPlannedTaskIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(num_tasks_), -1}) {
+    ExpectRejected(WithEntry(PlannedCountAt(), EncodeI32s({0, bad})));
+  }
 }
 
 // ------------------------------------- resume-then-continue metrics parity --
