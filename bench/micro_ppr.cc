@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
+#include "datagen/entity_resolution.h"
 #include "datagen/scalability.h"
 #include "gbench_adapter.h"
 #include "graph/ppr.h"
@@ -35,6 +36,29 @@ void BM_PprPrecompute(benchmark::State& state) {
 }
 // Full convergence is how the paper-scale datasets (110-360 tasks) run.
 BENCHMARK(BM_PprPrecompute)->Arg(360)->Arg(2000)->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PprPrecomputeClustered(benchmark::State& state) {
+  // The solo campaign's graph shape at a bench-friendly size: four product
+  // families, Jaccard edges at 0.2, every seed solved to full convergence.
+  EntityResolutionOptions data;
+  data.tasks_per_family = static_cast<size_t>(state.range(0)) / 4;
+  Dataset dataset = GenerateEntityResolution(data).MoveValueOrDie();
+  GraphBuildOptions graph_options;
+  graph_options.measure = SimilarityMeasure::kJaccard;
+  graph_options.threshold = 0.2;
+  auto graph = SimilarityGraph::Build(dataset, graph_options);
+  if (!graph.ok()) {
+    state.SkipWithError(graph.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto engine = PprEngine::Precompute(*graph, PprOptions());
+    benchmark::DoNotOptimize(engine);
+  }
+  state.SetItemsProcessed(state.iterations() * graph->num_nodes());
+}
+BENCHMARK(BM_PprPrecomputeClustered)->Arg(360)->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PprPrecomputeOneSweep(benchmark::State& state) {

@@ -279,7 +279,9 @@ int Run(const DriverOptions& options) {
       std::chrono::duration<double>(Clock::now() - hosted_start).count();
   std::printf("hosted: %zu campaigns on %zu shards, %.2fs (%.0f events/s)\n",
               manager->num_campaigns(), manager->num_shards(), hosted_seconds,
-              hosted_seconds > 0 ? total_events / hosted_seconds : 0.0);
+              hosted_seconds > 0
+                  ? static_cast<double>(total_events) / hosted_seconds
+                  : 0.0);
 
   size_t finished = 0;
   for (const auto& stats : manager->Stats()) {

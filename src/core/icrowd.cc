@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/strategy_factory.h"
+#include "graph/ppr.h"
 #include "obs/flight_recorder.h"
 #include "obs/http/http_server.h"
 #include "obs/http/series.h"
@@ -48,7 +49,8 @@ uint64_t Fnv1aF64(uint64_t hash, double value) {
 }
 
 /// Hash binding journals/snapshots to the campaign they came from: the
-/// dataset contents plus every decision-relevant configuration scalar.
+/// dataset contents, every decision-relevant configuration scalar, and the
+/// PPR kernel's numerics revision.
 /// Execution state (all of HostConfig, plus the clock and journal_sink
 /// injection points) is excluded — recovery at a different thread count or
 /// shard layout is bit-identical by contract.
@@ -75,6 +77,9 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   h = Fnv1aF64(h, config.estimator.min_mass);
   h = Fnv1a(h, config.estimator.confidence_weighting ? 1u : 0u);
   h = Fnv1aF64(h, config.estimator.ppr.alpha);
+  // The p̂ a campaign replays against depends on the precompute's exact
+  // floating-point results, not just on its options.
+  h = Fnv1a(h, kPprNumericsRevision);
   h = Fnv1a(h, static_cast<uint64_t>(config.warmup.tasks_per_worker));
   h = Fnv1aF64(h, config.warmup.rejection_threshold);
   h = Fnv1a(h, config.warmup.eliminate_bad_workers ? 1u : 0u);
@@ -744,7 +749,14 @@ Status ICrowd::ApplySnapshot(BinaryReader* reader) {
   uint64_t holding = reader->U64();
   for (uint64_t i = 0; i < holding && reader->ok(); ++i) {
     WorkerId w = reader->I32();
-    holding_[w] = reader->I32();
+    TaskId t = reader->I32();
+    if (w < 0 || static_cast<size_t>(w) >= state_.num_workers() || t < 0 ||
+        static_cast<size_t>(t) >= dataset_.size()) {
+      return Status::InvalidArgument(
+          "snapshot holding table entry (worker " + std::to_string(w) +
+          ", task " + std::to_string(t) + ") out of range");
+    }
+    holding_[w] = t;
   }
   ICROWD_RETURN_NOT_OK(activity_.RestoreState(reader));
   ICROWD_RETURN_NOT_OK(warmup_.RestoreState(reader));

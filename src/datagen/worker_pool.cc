@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/random.h"
 
@@ -71,7 +72,11 @@ std::vector<WorkerProfile> GenerateWorkerPool(
       }
       profile.willingness = rng.Geometric(options.casual_mean_tasks);
     }
-    profile.external_id = "W" + std::to_string(i) + "-" + tag;
+    std::string id = std::to_string(i);
+    id.insert(id.begin(), 'W');
+    id += '-';
+    id += tag;
+    profile.external_id = std::move(id);
     profile.arrival_time = rng.Uniform(0.0, 30.0);
     profile.mean_dwell = rng.Uniform(0.5, 2.0);
     pool.push_back(std::move(profile));

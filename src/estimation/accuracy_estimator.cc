@@ -124,18 +124,16 @@ void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
   // grades (q in {0, 1}) count fully, while a near-coin-flip Eq. (5) grade
   // (q ~ 0.5, a split vote among weak co-workers) carries almost no signal
   // and would otherwise just drag estimates toward 0.5.
-  SparseEntries weighted;
-  SparseEntries mask;
-  weighted.reserve(model.observed.size());
-  mask.reserve(model.observed.size());
+  // The numerator sums q·confidence and the mass sums confidence, in one
+  // pass over the observed tasks' seed vectors.
+  std::vector<PairedObservation> weights;
+  weights.reserve(model.observed.size());
   for (const auto& [t, q] : model.observed) {
     double confidence =
         options_.confidence_weighting ? std::abs(2.0 * q - 1.0) : 1.0;
-    weighted.emplace_back(t, q * confidence);
-    mask.emplace_back(t, confidence);
+    weights.push_back({t, q * confidence, confidence});
   }
-  model.numerator = engine_.EstimateFromObserved(weighted);
-  model.mass = engine_.EstimateFromObserved(mask);
+  engine_.EstimatePairFromObserved(weights, &model.numerator, &model.mass);
   model.has_estimate = true;
   MaterializeRow(model);
 }

@@ -13,6 +13,20 @@ namespace icrowd {
 /// Sparse accuracy/score vector: (task id, value) pairs sorted by id.
 using SparseEntries = std::vector<std::pair<int32_t, double>>;
 
+/// Revision of the precompute's floating-point results. Bump it whenever a
+/// change to the kernel can move any seed vector, even by one ulp: the
+/// campaign fingerprint folds it in, so journals and snapshots written by
+/// an older kernel are refused instead of replaying against different p̂.
+inline constexpr uint64_t kPprNumericsRevision = 2;
+
+/// One observed task feeding the two sums of EstimatePairFromObserved,
+/// with coefficient `a` in the first and `b` in the second.
+struct PairedObservation {
+  int32_t task;
+  double a;
+  double b;
+};
+
 struct PprOptions {
   /// The paper's α balancing graph smoothness vs. fidelity to the observed
   /// accuracies (Eq. 2). Must be > 0. Default 1.0 per §D.2.
@@ -23,7 +37,8 @@ struct PprOptions {
   /// Entries below this are dropped from stored seed vectors; raising it
   /// trades accuracy for memory on very large graphs (Fig. 10 workloads).
   double prune_epsilon = 1e-9;
-  /// Threads for the offline per-seed precompute; 0 = hardware concurrency.
+  /// Threads for the offline precompute (one task per block of seeds);
+  /// 0 = hardware concurrency.
   size_t num_threads = 0;
 };
 
@@ -52,6 +67,15 @@ class PprEngine {
   /// returns a dense length-|T| estimate.
   std::vector<double> EstimateFromObserved(const SparseEntries& observed) const;
 
+  /// Two Lemma 3 sums over the same observed tasks in one pass:
+  /// *a = Σ a_i · p_{t_i} and *b = Σ b_i · p_{t_i}, dense length-|T|. Each
+  /// seed entry is read once; each output skips its zero coefficients and
+  /// sums in observation order, so it is bitwise what EstimateFromObserved
+  /// returns for its own coefficients.
+  void EstimatePairFromObserved(const std::vector<PairedObservation>& observed,
+                                std::vector<double>* a,
+                                std::vector<double>* b) const;
+
   /// As above but returns a sparse result (only tasks reachable from the
   /// observed set). Used on large graphs where dense vectors are wasteful.
   SparseEntries EstimateSparseFromObserved(const SparseEntries& observed) const;
@@ -64,9 +88,6 @@ class PprEngine {
  private:
   PprEngine(SparseMatrix normalized, PprOptions options)
       : s_prime_(std::move(normalized)), options_(options) {}
-
-  /// Sparse Eq. (4) iteration from a single seed, pruning per sweep.
-  SparseEntries SolveSeed(size_t seed) const;
 
   SparseMatrix s_prime_;
   PprOptions options_;

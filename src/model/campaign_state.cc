@@ -205,11 +205,22 @@ Status CampaignState::RestoreState(BinaryReader* reader) {
         " exceeds the bytes that follow it");
   }
   num_completed_ = reader->U64();
+  if (num_completed_ > num_tasks_) {
+    return Status::InvalidArgument(
+        "snapshot completed-task count " + std::to_string(num_completed_) +
+        " exceeds the campaign's " + std::to_string(num_tasks_) + " tasks");
+  }
   for (TaskState& task : tasks_) {
     task = TaskState();
     uint64_t assigned = reader->U64();
     for (uint64_t i = 0; i < assigned && reader->ok(); ++i) {
-      task.assigned.push_back(reader->I32());
+      WorkerId worker = reader->I32();
+      if (worker < 0 || static_cast<size_t>(worker) >= num_workers_) {
+        return Status::InvalidArgument("snapshot assigned worker " +
+                                       std::to_string(worker) +
+                                       " out of range");
+      }
+      task.assigned.push_back(worker);
     }
     uint64_t votes = reader->U64();
     for (uint64_t i = 0; i < votes && reader->ok(); ++i) {
@@ -237,7 +248,19 @@ Status CampaignState::RestoreState(BinaryReader* reader) {
     tasks_[answer.task].answers.push_back(answer);
     worker_answers_[answer.worker].push_back(answer);
   }
-  return reader->status();
+  ICROWD_RETURN_NOT_OK(reader->status());
+  // Every vote is one recorded answer, so each task's vote table is the
+  // tally of its answers' labels: a label or count that is not cannot be
+  // genuine.
+  for (const TaskState& task : tasks_) {
+    std::map<Label, int> tally;
+    for (const AnswerRecord& answer : task.answers) ++tally[answer.label];
+    if (tally != task.votes) {
+      return Status::InvalidArgument(
+          "snapshot vote table does not match the task's answers");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace icrowd

@@ -8,10 +8,13 @@
 
 #include "common/random.h"
 #include "datagen/entity_resolution.h"
+#include "datagen/itemcompare.h"
 #include "datagen/scalability.h"
+#include "datagen/yahooqa.h"
 #include "graph/ppr.h"
 #include "graph/similarity_graph.h"
 #include "graph/sparse_matrix.h"
+#include "obs/metrics.h"
 #include "text/tokenizer.h"
 
 namespace icrowd {
@@ -431,6 +434,179 @@ TEST_P(PprRandomGraphTest, LinearityHoldsOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PprRandomGraphTest,
                          ::testing::Values(10, 40, 120));
+
+// ------------------------------------------------- lane-blocked precompute --
+
+// The per-seed sparse scatter the lane-blocked kernel replaced, kept as the
+// oracle: one seed at a time, one dense scratch array, the support in
+// discovery order. Returns the seed vector and its sweep count.
+std::pair<SparseEntries, int> ReferenceSeed(const SparseMatrix& s_prime,
+                                            const PprOptions& options,
+                                            size_t seed) {
+  const double c = 1.0 / (1.0 + options.alpha);
+  const double restart = options.alpha / (1.0 + options.alpha);
+  std::vector<double> current(s_prime.n(), 0.0);
+  std::vector<double> next(s_prime.n(), 0.0);
+  std::vector<int32_t> support = {static_cast<int32_t>(seed)};
+  std::vector<int32_t> next_support;
+  current[seed] = 1.0;
+  const std::vector<size_t>& row_ptr = s_prime.row_ptr();
+  int iterations = 0;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    ++iterations;
+    for (int32_t u : support) {
+      double scaled = c * current[u];
+      for (size_t idx = row_ptr[u]; idx < row_ptr[u + 1]; ++idx) {
+        int32_t v = s_prime.cols()[idx];
+        if (next[v] == 0.0) next_support.push_back(v);
+        next[v] += scaled * s_prime.values()[idx];
+      }
+    }
+    if (next[seed] == 0.0) next_support.push_back(static_cast<int32_t>(seed));
+    next[seed] += restart;
+    double diff = 0.0;
+    for (int32_t v : next_support) {
+      if (next[v] < options.prune_epsilon) next[v] = 0.0;
+      diff += std::abs(next[v] - current[v]);
+    }
+    for (int32_t u : support) {
+      if (next[u] == 0.0) diff += current[u];
+      current[u] = 0.0;
+    }
+    support.clear();
+    for (int32_t v : next_support) {
+      if (next[v] > 0.0) {
+        current[v] = next[v];
+        support.push_back(v);
+      }
+      next[v] = 0.0;
+    }
+    next_support.clear();
+    if (diff < options.tolerance) break;
+  }
+  std::sort(support.begin(), support.end());
+  SparseEntries out;
+  for (int32_t v : support) out.emplace_back(v, current[v]);
+  return {out, iterations};
+}
+
+uint64_t SolveIterations() {
+  return obs::MetricsRegistry::Global().CounterValue(
+      "icrowd.ppr.solve_iterations");
+}
+
+// Every seed vector has the reference's support, each value within 1e-12
+// relative of the reference's, and every lane ran the reference's number
+// of sweeps.
+void ExpectMatchesPerSeedReference(const SimilarityGraph& graph,
+                                   const PprOptions& options) {
+  const uint64_t iterations_before = SolveIterations();
+  auto engine = PprEngine::Precompute(graph, options);
+  ASSERT_TRUE(engine.ok());
+  const uint64_t lane_iterations = SolveIterations() - iterations_before;
+  SparseMatrix s_prime = graph.NormalizedAdjacency();
+  uint64_t reference_iterations = 0;
+  for (size_t i = 0; i < graph.num_nodes(); ++i) {
+    auto [expected, iterations] = ReferenceSeed(s_prime, options, i);
+    reference_iterations += static_cast<uint64_t>(iterations);
+    const SparseEntries& got = engine->SeedVector(i);
+    ASSERT_EQ(got.size(), expected.size()) << "seed " << i;
+    for (size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k].first, expected[k].first) << "seed " << i;
+      EXPECT_NEAR(got[k].second, expected[k].second,
+                  1e-12 * std::abs(expected[k].second))
+          << "seed " << i << " task " << got[k].first;
+    }
+  }
+  EXPECT_EQ(lane_iterations, reference_iterations);
+}
+
+SimilarityGraph JaccardEntityGraph(size_t tasks_per_family) {
+  EntityResolutionOptions data;
+  data.tasks_per_family = tasks_per_family;
+  auto dataset = GenerateEntityResolution(data);
+  EXPECT_TRUE(dataset.ok());
+  GraphBuildOptions options;
+  options.measure = SimilarityMeasure::kJaccard;
+  options.threshold = 0.2;
+  return SimilarityGraph::Build(*dataset, options).MoveValueOrDie();
+}
+
+PprOptions BoundedOptions() {
+  PprOptions options;
+  options.prune_epsilon = 1e-4;
+  options.tolerance = 1e-6;
+  return options;
+}
+
+class PprLaneJaccardTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PprLaneJaccardTest, EntityGraphMatchesPerSeedReference) {
+  // 36, 360 and 1000 tasks: 9, 90 and 250 per family.
+  ExpectMatchesPerSeedReference(JaccardEntityGraph(GetParam() / 4), {});
+}
+
+INSTANTIATE_TEST_SUITE_P(Tasks, PprLaneJaccardTest,
+                         ::testing::Values(36, 360, 1000));
+
+TEST(PprLaneKernelTest, YahooQaAndItemCompareGraphsMatchPerSeedReference) {
+  for (auto dataset : {GenerateYahooQa(), GenerateItemCompare()}) {
+    ASSERT_TRUE(dataset.ok());
+    auto graph = SimilarityGraph::Build(*dataset, GraphBuildOptions());
+    ASSERT_TRUE(graph.ok());
+    ExpectMatchesPerSeedReference(*graph, {});
+  }
+}
+
+TEST(PprLaneKernelTest, RandomBoundedGraphMatchesPerSeedReference) {
+  SimilarityGraph graph = GenerateRandomBoundedGraph(1500, 12, /*seed=*/3);
+  ExpectMatchesPerSeedReference(graph, BoundedOptions());
+  PprOptions one_sweep = BoundedOptions();
+  one_sweep.max_iterations = 1;
+  ExpectMatchesPerSeedReference(graph, one_sweep);
+}
+
+TEST(PprLaneKernelTest, BitIdenticalAcrossThreadCounts) {
+  for (const SimilarityGraph& graph :
+       {JaccardEntityGraph(90), GenerateRandomBoundedGraph(1500, 12, 3)}) {
+    std::vector<SparseEntries> first;
+    for (size_t threads : {1, 2, 8}) {
+      PprOptions options;
+      options.num_threads = threads;
+      auto engine = PprEngine::Precompute(graph, options);
+      ASSERT_TRUE(engine.ok());
+      for (size_t i = 0; i < graph.num_nodes(); ++i) {
+        if (threads == 1) {
+          first.push_back(engine->SeedVector(i));
+        } else {
+          ASSERT_EQ(engine->SeedVector(i), first[i])
+              << "seed " << i << " at " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(PprTest, PairedEstimateIsTwoSingleEstimatesBitwise) {
+  SimilarityGraph graph = JaccardEntityGraph(9);
+  auto engine = PprEngine::Precompute(graph, {});
+  ASSERT_TRUE(engine.ok());
+  // Zero coefficients in either sum, both, and neither.
+  std::vector<PairedObservation> observed = {
+      {0, 0.5, 1.0}, {3, 0.0, 0.25}, {7, 0.0, 0.0}, {12, 0.9, 0.8},
+      {20, 0.3, 0.0}, {35, 1.0, 1.0}};
+  SparseEntries a_only;
+  SparseEntries b_only;
+  for (const PairedObservation& o : observed) {
+    a_only.emplace_back(o.task, o.a);
+    b_only.emplace_back(o.task, o.b);
+  }
+  std::vector<double> a;
+  std::vector<double> b;
+  engine->EstimatePairFromObserved(observed, &a, &b);
+  EXPECT_EQ(a, engine->EstimateFromObserved(a_only));
+  EXPECT_EQ(b, engine->EstimateFromObserved(b_only));
+}
 
 }  // namespace
 }  // namespace icrowd

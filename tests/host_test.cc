@@ -228,7 +228,7 @@ TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {
     std::vector<CampaignHandle> handles;
     for (size_t c = 0; c < kCampaigns; ++c) {
       handles.push_back(
-          manager->CreateCampaign(OptionsFor(c, "c" + std::to_string(c)))
+          manager->CreateCampaign(OptionsFor(c, std::string(1, 'c') + std::to_string(c)))
               .MoveValueOrDie());
     }
     // Interleave the streams round-robin in small chunks so every popped
@@ -317,7 +317,7 @@ TEST(HostIsolationTest, ConcurrentProducersMatchSolo) {
   std::vector<CampaignHandle> handles;
   for (size_t c = 0; c < kCampaigns; ++c) {
     handles.push_back(
-        manager->CreateCampaign(OptionsFor(c, "p" + std::to_string(c)))
+        manager->CreateCampaign(OptionsFor(c, std::string(1, 'p') + std::to_string(c)))
             .MoveValueOrDie());
   }
   // One producer thread per campaign, all running at once (the TSan

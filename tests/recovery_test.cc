@@ -479,7 +479,9 @@ class CorruptSnapshotTest : public ::testing::Test {
   static constexpr uint64_t kSeed = 5;
   // Header (magic, version, fingerprint, events, now) then the campaign
   // state's (num_tasks, k) before its worker count.
-  static constexpr size_t kWorkerCountAt = 4 + 4 + 8 + 8 + 8 + 8 + 4;
+  static constexpr size_t kStateAt = 4 + 4 + 8 + 8 + 8;
+  static constexpr size_t kWorkerCountAt = kStateAt + 8 + 4;
+  static constexpr size_t kCompletedCountAt = kWorkerCountAt + 8;
 
   void SetUp() override {
     obs::MetricsRegistry::Global().ResetForTesting();
@@ -505,6 +507,9 @@ class CorruptSnapshotTest : public ::testing::Test {
     ASSERT_NE(at, snapshot_.end());
     estimator_at_ = static_cast<size_t>(at - snapshot_.begin());
     estimator_size_ = estimator.size();
+    BinaryWriter state;
+    system->state().SerializeState(&state);
+    state_size_ = state.size();
   }
 
   Status Restore(const std::vector<uint8_t>& snapshot) const {
@@ -534,6 +539,29 @@ class CorruptSnapshotTest : public ::testing::Test {
     return 0;
   }
 
+  // Offsets of the first task record (in task order) with at least one
+  // assigned worker and one vote: its first assigned worker id and its
+  // first vote label.
+  std::pair<size_t, size_t> FirstAssignedAndVoteLabel() const {
+    size_t pos = kCompletedCountAt + 8;
+    for (size_t t = 0; t < num_tasks_; ++t) {
+      uint64_t assigned = GetU64(snapshot_, pos);
+      size_t votes_at = pos + 8 + 4 * assigned;
+      uint64_t votes = GetU64(snapshot_, votes_at);
+      if (assigned > 0 && votes > 0) return {pos + 8, votes_at + 8};
+      pos = votes_at + 8 + 8 * votes + 1 + 4 + 1 + 1;
+    }
+    ADD_FAILURE() << "no task with assigned workers and votes";
+    return {0, 0};
+  }
+
+  // The worker-status table (count, one byte each) follows the campaign
+  // state; the facade's holding table follows it.
+  size_t HoldingCountAt() const {
+    size_t statuses_at = kStateAt + state_size_;
+    return statuses_at + 8 + GetU64(snapshot_, statuses_at);
+  }
+
   size_t DirtyCountAt() const { return estimator_at_ + estimator_size_; }
   size_t PlannedCountAt() const {
     return DirtyCountAt() + 8 + 4 * GetU64(snapshot_, DirtyCountAt());
@@ -554,12 +582,14 @@ class CorruptSnapshotTest : public ::testing::Test {
   size_t num_workers_ = 0;
   size_t estimator_at_ = 0;
   size_t estimator_size_ = 0;
+  size_t state_size_ = 0;
 };
 
 TEST_F(CorruptSnapshotTest, UnmodifiedSnapshotRestores) {
   EXPECT_TRUE(Restore(snapshot_).ok());
   // The list editing itself keeps a snapshot valid.
   EXPECT_TRUE(Restore(WithEntry(DirtyCountAt(), EncodeI32s({0}))).ok());
+  EXPECT_TRUE(Restore(WithEntry(HoldingCountAt(), EncodeI32s({0, 0}))).ok());
 }
 
 TEST_F(CorruptSnapshotTest, WorkerCountBeyondTheSnapshotIsRejected) {
@@ -607,6 +637,48 @@ TEST_F(CorruptSnapshotTest, UnknownPlannedWorkerIsRejected) {
 TEST_F(CorruptSnapshotTest, UnknownPlannedTaskIsRejected) {
   for (int32_t bad : {static_cast<int32_t>(num_tasks_), -1}) {
     ExpectRejected(WithEntry(PlannedCountAt(), EncodeI32s({0, bad})));
+  }
+}
+
+TEST_F(CorruptSnapshotTest, AssignedWorkerOutOfRangeIsRejected) {
+  size_t worker_at = FirstAssignedAndVoteLabel().first;
+  for (int32_t bad : {static_cast<int32_t>(num_workers_), -1, 1 << 30}) {
+    std::vector<uint8_t> bytes = snapshot_;
+    std::vector<uint8_t> id = EncodeI32s({bad});
+    std::copy(id.begin(), id.end(),
+              bytes.begin() + static_cast<long>(worker_at));
+    ExpectRejected(bytes);
+  }
+}
+
+TEST_F(CorruptSnapshotTest, VoteLabelNoAnswerCarriesIsRejected) {
+  size_t label_at = FirstAssignedAndVoteLabel().second;
+  for (int32_t bad : {-1, 7, 1 << 30}) {
+    std::vector<uint8_t> bytes = snapshot_;
+    std::vector<uint8_t> label = EncodeI32s({bad});
+    std::copy(label.begin(), label.end(),
+              bytes.begin() + static_cast<long>(label_at));
+    ExpectRejected(bytes);
+  }
+}
+
+TEST_F(CorruptSnapshotTest, CompletedCountBeyondTheTasksIsRejected) {
+  for (uint64_t bad : {uint64_t{num_tasks_} + 1, uint64_t{1} << 40}) {
+    std::vector<uint8_t> bytes = snapshot_;
+    PutU64(&bytes, kCompletedCountAt, bad);
+    ExpectRejected(bytes);
+  }
+}
+
+TEST_F(CorruptSnapshotTest, HoldingWorkerOutOfRangeIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(num_workers_), -1, 1 << 30}) {
+    ExpectRejected(WithEntry(HoldingCountAt(), EncodeI32s({bad, 0})));
+  }
+}
+
+TEST_F(CorruptSnapshotTest, HoldingTaskOutOfRangeIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(num_tasks_), -1}) {
+    ExpectRejected(WithEntry(HoldingCountAt(), EncodeI32s({0, bad})));
   }
 }
 

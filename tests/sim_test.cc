@@ -26,7 +26,7 @@ Dataset SmallDataset(size_t n = 10) {
 std::vector<WorkerProfile> ReliablePool(size_t n, double accuracy = 0.9) {
   std::vector<WorkerProfile> pool(n);
   for (size_t i = 0; i < n; ++i) {
-    pool[i].external_id = "w" + std::to_string(i);
+    pool[i].external_id = std::string(1, 'w') + std::to_string(i);
     pool[i].domain_accuracy = {accuracy, accuracy};
     pool[i].arrival_time = static_cast<double>(i);
     pool[i].willingness = 100;
