@@ -1,25 +1,19 @@
-// Microbenchmarks (google-benchmark) for the parallel online pipeline: the
-// scheme-recompute kernel the adaptive assigner runs (SchemePlanner: one
-// per-task ranking fanned out over the pool, then every multi-round
-// Algorithm 3 pass; Algorithm 2 steps 1-2) at 1/2/4/8 threads, and a full
-// adaptive campaign at each thread count. Every
-// parallel variant is checked against the serial scheme before timing —
-// thread count must never change a single assignment (see DESIGN.md
-// "Concurrency model"). Speedups require real cores; on a single-core host
-// the numbers show the (small) coordination overhead instead.
+// Microbenchmarks (google-benchmark) for the online pipeline, which runs
+// one thread per request (DESIGN.md §7): the scheme-recompute kernel the
+// adaptive assigner runs (SchemePlanner: one per-task ranking, then every
+// multi-round Algorithm 3 pass; Algorithm 2 steps 1-2), a full adaptive
+// campaign, and the observability overheads measured on that serial
+// kernel.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "assign/scheme_planner.h"
-#include "assign/top_workers.h"
-#include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "datagen/itemcompare.h"
 #include "gbench_adapter.h"
@@ -38,8 +32,7 @@ constexpr size_t kWorkers = 160;
 constexpr int kAssignmentSize = 3;
 
 // Deterministic stand-in for the estimator: a cheap hash mix of (worker,
-// task) mapped into [0.5, 1). Pure and thread-safe by construction, like
-// the frozen snapshot the real pipeline hands out.
+// task) mapped into [0.5, 1).
 double HashAccuracy(WorkerId w, TaskId t) {
   uint64_t x = static_cast<uint64_t>(w) * 0x9e3779b97f4a7c15ull ^
                static_cast<uint64_t>(t) * 0xc2b2ae3d27d4eb4full;
@@ -71,8 +64,8 @@ struct Kernel {
 };
 
 // Bucket-wise difference of two snapshots of the same histogram: the
-// registry accumulates across every benchmark variant in this binary, so
-// each variant's percentiles must come from its own observations.
+// registry accumulates across every benchmark in this binary, so each
+// benchmark's percentiles must come from its own observations.
 obs::HistogramSnapshot SnapshotDelta(const obs::HistogramSnapshot& before,
                                      const obs::HistogramSnapshot& after) {
   if (before.buckets.size() != after.buckets.size()) return after;
@@ -87,81 +80,35 @@ obs::HistogramSnapshot SnapshotDelta(const obs::HistogramSnapshot& before,
   return delta;
 }
 
-bool SameScheme(const std::vector<TopWorkerSet>& a,
-                const std::vector<TopWorkerSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].task != b[i].task || a[i].workers != b[i].workers ||
-        a[i].accuracies != b[i].accuracies) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // One AdaptiveAssigner::RecomputeScheme: the multi-round plan. `planner`
 // carries the scratch buffers across iterations, as the assigner's does.
 std::vector<TopWorkerSet> RecomputeScheme(const Kernel& kernel,
-                                          SchemePlanner& planner,
-                                          ThreadPool* pool) {
+                                          SchemePlanner& planner) {
   return planner.Plan(kernel.state, kernel.active, kernel.Rows(),
-                      /*multi_round=*/true, pool);
+                      /*multi_round=*/true);
 }
 
 void BM_SchemeRecompute(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  static Kernel kernel;  // shared: setup cost paid once across variants
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  // Determinism gate before timing: the parallel scheme must be
-  // bit-identical to the serial one.
+  static Kernel kernel;  // shared: setup cost paid once across benchmarks
   SchemePlanner planner;
-  std::vector<TopWorkerSet> serial = RecomputeScheme(kernel, planner, nullptr);
-  if (!SameScheme(serial, RecomputeScheme(kernel, planner, pool.get()))) {
-    state.SkipWithError("parallel scheme diverged from serial scheme");
-    return;
-  }
-
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, planner, pool.get());
+    auto scheme = RecomputeScheme(kernel, planner);
     benchmark::DoNotOptimize(scheme);
   }
   state.SetItemsProcessed(state.iterations() * kTasks);
-  state.counters["threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_SchemeRecompute)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SchemeRecompute)->Unit(benchmark::kMillisecond);
 
 void BM_AdaptiveCampaign(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
   ItemCompareOptions options;
   options.tasks_per_domain = 30;
   auto ds = GenerateItemCompare(options);
   auto workers = GenerateItemCompareWorkers(*ds);
   ICrowdConfig config;
   auto graph = SimilarityGraph::Build(*ds, config.graph);
-  HostConfig host;
-  host.num_threads = threads;
-
-  // Determinism gate: the campaign at `threads` must reproduce the serial
-  // campaign answer-for-answer.
-  auto serial =
-      RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt);
-  auto parallel =
-      RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt, host);
-  if (!serial.ok() || !parallel.ok()) {
+  if (!RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt)
+           .ok()) {
     state.SkipWithError("campaign failed");
-    return;
-  }
-  if (serial->sim.consensus != parallel->sim.consensus ||
-      serial->sim.answers.size() != parallel->sim.answers.size() ||
-      serial->sim.total_cost != parallel->sim.total_cost) {
-    state.SkipWithError("parallel campaign diverged from serial campaign");
     return;
   }
 
@@ -170,13 +117,12 @@ void BM_AdaptiveCampaign(benchmark::State& state) {
   auto& registry = obs::MetricsRegistry::Global();
   // Per-event (per RequestTask) latency tail: the simulator observes every
   // assigner call into icrowd.sim.request_seconds; diffing the snapshot
-  // around the timed loop isolates this variant's distribution.
+  // around the timed loop isolates this benchmark's distribution.
   obs::HistogramSnapshot requests_before =
       registry.HistogramValue("icrowd.sim.request_seconds");
   for (auto _ : state) {
     auto result =
-        RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt,
-                      host);
+        RunExperiment(*ds, workers, *graph, config, StrategyKind::kAdapt);
     benchmark::DoNotOptimize(result);
     refresh_seconds += result->sim.assigner.refresh_seconds;
     recompute_seconds += result->sim.assigner.scheme_recompute_seconds;
@@ -184,7 +130,6 @@ void BM_AdaptiveCampaign(benchmark::State& state) {
   }
   obs::HistogramSnapshot requests = SnapshotDelta(
       requests_before, registry.HistogramValue("icrowd.sim.request_seconds"));
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["refresh_ms"] =
       1e3 * refresh_seconds / static_cast<double>(runs);
   state.counters["recompute_ms"] =
@@ -192,27 +137,21 @@ void BM_AdaptiveCampaign(benchmark::State& state) {
   state.counters["request_p50_ms"] = 1e3 * requests.Percentile(50);
   state.counters["request_p99_ms"] = 1e3 * requests.Percentile(99);
 }
-BENCHMARK(BM_AdaptiveCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AdaptiveCampaign)->Unit(benchmark::kMillisecond);
 
 // Instrumentation overhead on the hottest kernel: range(0) == 1 runs with
 // the registry recording (the shipped configuration), 0 with recording
 // disabled — the closest runtime approximation of compiling the
 // instrumentation out (every record call early-returns after one relaxed
-// load). Acceptance bar: enabled within 5% of disabled at 4 threads.
+// load). Acceptance bar: enabled within 5% of disabled.
 void BM_MetricsOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) == 1;
   static Kernel kernel;
-  ThreadPool pool(4);
   auto& registry = obs::MetricsRegistry::Global();
   registry.SetEnabled(enabled);
   SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, planner, &pool);
+    auto scheme = RecomputeScheme(kernel, planner);
     benchmark::DoNotOptimize(scheme);
   }
   registry.SetEnabled(true);
@@ -233,12 +172,11 @@ BENCHMARK(BM_MetricsOverhead)
 void BM_FlightRecorderOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) == 1;
   static Kernel kernel;
-  ThreadPool pool(4);
   auto& flight = obs::FlightRecorder::Global();
   flight.SetEnabled(enabled);
   SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, planner, &pool);
+    auto scheme = RecomputeScheme(kernel, planner);
     benchmark::DoNotOptimize(scheme);
   }
   flight.SetEnabled(true);
@@ -261,7 +199,6 @@ BENCHMARK(BM_FlightRecorderOverhead)
 void BM_ScrapeOverhead(benchmark::State& state) {
   const bool scraped = state.range(0) == 1;
   static Kernel kernel;
-  ThreadPool pool(4);
   std::unique_ptr<obs::MetricsHistory> history;
   std::unique_ptr<obs::SeriesSampler> sampler;
   std::unique_ptr<obs::ObsServer> server;
@@ -298,7 +235,7 @@ void BM_ScrapeOverhead(benchmark::State& state) {
   }
   SchemePlanner planner;
   for (auto _ : state) {
-    auto scheme = RecomputeScheme(kernel, planner, &pool);
+    auto scheme = RecomputeScheme(kernel, planner);
     benchmark::DoNotOptimize(scheme);
   }
   if (scraped) {

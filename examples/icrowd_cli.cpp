@@ -3,7 +3,7 @@
 //
 //   icrowd_cli [--dataset=yahooqa|itemcompare|entity|poi] [--strategy=NAME]
 //              [--k=3] [--q=10] [--alpha=1.0] [--threshold=0.8]
-//              [--measure=topic|jaccard|tfidf] [--threads=1]
+//              [--measure=topic|jaccard|tfidf]
 //              [--seeds=5] [--seed-base=1000]
 //              [--random-qualification] [--per-domain]
 //              [--export-dataset=FILE] [--export-answers=FILE]
@@ -52,7 +52,6 @@ struct CliOptions {
   std::string dataset = "itemcompare";
   std::string strategy = "icrowd";
   ICrowdConfig config;
-  HostConfig host;  // execution-only knobs (v2 split): --threads
   int seeds = 5;
   uint64_t seed_base = 1000;
   bool per_domain = false;
@@ -85,8 +84,7 @@ int Usage() {
       "                  [--strategy=randommv|randomem|avgaccpv|qfonly|\n"
       "                   besteffort|icrowd]\n"
       "                  [--k=3] [--q=10] [--alpha=1.0] [--threshold=0.8]\n"
-      "                  [--measure=topic|jaccard|tfidf] [--threads=1]\n"
-      "                  [--seeds=5]\n"
+      "                  [--measure=topic|jaccard|tfidf] [--seeds=5]\n"
       "                  [--seed-base=1000] [--random-qualification]\n"
       "                  [--per-domain] [--export-dataset=FILE]\n"
       "                  [--export-answers=FILE]\n"
@@ -224,8 +222,7 @@ int RunDurableCampaign(const CliOptions& options, const Dataset& dataset,
       return 1;
     }
     config.journal_sink = sink.MoveValueOrDie();
-    system = ICrowd::Restore(dataset, config, snapshot_bytes, *bytes,
-                             options.host);
+    system = ICrowd::Restore(dataset, config, snapshot_bytes, *bytes);
   } else {
     auto sink = FileSink::Open(options.journal, /*truncate=*/true);
     if (!sink.ok()) {
@@ -234,7 +231,7 @@ int RunDurableCampaign(const CliOptions& options, const Dataset& dataset,
       return 1;
     }
     config.journal_sink = sink.MoveValueOrDie();
-    system = ICrowd::Create(dataset, config, options.host);
+    system = ICrowd::Create(dataset, config);
   }
   if (!system.ok()) {
     std::fprintf(stderr, "%s failed: %s\n",
@@ -329,8 +326,6 @@ int main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (ParseFlag(arg, "threads", &value)) {
-      options.host.num_threads = std::stoul(value);
     } else if (ParseFlag(arg, "seeds", &value)) {
       options.seeds = std::stoi(value);
     } else if (ParseFlag(arg, "seed-base", &value)) {
@@ -472,8 +467,7 @@ int main(int argc, char** argv) {
   for (int s = 0; s < options.seeds; ++s) {
     ICrowdConfig config = options.config;
     config.seed = options.seed_base + s;
-    auto result =
-        RunExperiment(*dataset, workers, *graph, config, kind, options.host);
+    auto result = RunExperiment(*dataset, workers, *graph, config, kind);
     if (!result.ok()) {
       std::fprintf(stderr, "experiment failed: %s\n",
                    result.status().ToString().c_str());

@@ -2,7 +2,7 @@
 // scale, with the isolation contract checked on every campaign.
 //
 //   multi_campaign_driver [--campaigns=500] [--shards=4] [--workers=6]
-//                         [--seed=100] [--threads=1] [--no-verify]
+//                         [--seed=100] [--no-verify]
 //                         [--serve-obs=PORT] [--metricsz-out=FILE]
 //
 // The driver first records a solo reference for every campaign — a
@@ -47,7 +47,6 @@ struct DriverOptions {
   size_t shards = 4;
   size_t workers = 6;
   uint64_t seed = 100;
-  size_t threads = 1;
   bool verify = true;
   int serve_obs_port = -1;
   std::string metricsz_out;
@@ -65,7 +64,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: multi_campaign_driver [--campaigns=500] [--shards=4]\n"
                "                             [--workers=6] [--seed=100]\n"
-               "                             [--threads=1] [--no-verify]\n"
+               "                             [--no-verify]\n"
                "                             [--serve-obs=PORT]\n"
                "                             [--metricsz-out=FILE]\n");
   return 2;
@@ -215,7 +214,6 @@ int Run(const DriverOptions& options) {
   // Phase 2: host all of them at once.
   HostConfig host;
   host.num_shards = options.shards;
-  host.num_threads = options.threads;
   host.serve_obs_port = options.serve_obs_port;
   if (options.serve_obs_port < 0 && !options.metricsz_out.empty()) {
     host.serve_obs_port = 0;  // the scrape needs a live server
@@ -339,8 +337,6 @@ int main(int argc, char** argv) {
       options.workers = static_cast<size_t>(std::stoul(value));
     } else if (ParseFlag(arg, "seed", &value)) {
       options.seed = std::stoull(value);
-    } else if (ParseFlag(arg, "threads", &value)) {
-      options.threads = static_cast<size_t>(std::stoul(value));
     } else if (arg == "--no-verify") {
       options.verify = false;
     } else if (ParseFlag(arg, "serve-obs", &value)) {

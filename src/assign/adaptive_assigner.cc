@@ -49,10 +49,8 @@ void AdaptiveAssigner::RefreshDirtyWorkers(const CampaignState& state) {
   std::vector<WorkerId> dirty(dirty_workers_.begin(), dirty_workers_.end());
   std::sort(dirty.begin(), dirty.end());
   dirty_workers_.clear();
-  // The snapshot-then-fan-out mechanics (and the thread-count invariance
-  // argument) live with the estimator so the batched ingest path and this
-  // per-request path amortize dirty sets through the same code.
-  estimator_->RefreshMany(dirty, state, *dataset_, pool());
+  // One pre-round snapshot serves the whole dirty set (DESIGN.md §12).
+  estimator_->RefreshMany(dirty, state, *dataset_);
   scheme_dirty_ = true;
   double elapsed = timer.ElapsedSeconds();
   refresh_fp_.fetch_add(obs::ToFixedPoint(elapsed),
@@ -90,7 +88,7 @@ void AdaptiveAssigner::RecomputeScheme(
   std::vector<TopWorkerSet> scheme = planner.Plan(
       state, active_workers,
       [this](WorkerId w) { return estimator_->AccuracyRow(w); },
-      options_.multi_round_planning, pool());
+      options_.multi_round_planning);
   for (const TopWorkerSet& set : scheme) {
     for (WorkerId w : set.workers) planned_[w] = set.task;
   }

@@ -11,7 +11,6 @@
 
 #include "assign/assigner.h"
 #include "common/binary_io.h"
-#include "common/thread_pool.h"
 #include "estimation/accuracy_estimator.h"
 #include "obs/metrics.h"
 
@@ -30,16 +29,6 @@ struct AdaptiveAssignerOptions {
   /// and everyone else falls to step-3 testing. The `ablation_assignment`
   /// bench quantifies this choice.
   bool multi_round_planning = true;
-  /// Threads for the online hot path (dirty-worker estimate refresh and
-  /// the planner's per-task ranking, once per scheme recompute). 1 =
-  /// serial; 0 = hardware concurrency. Results are bit-identical at any
-  /// value: Eq. (5) always reads a pre-round snapshot of the refreshed
-  /// workers' estimates, and each task's ranking is written to its own
-  /// slot.
-  size_t num_threads = 1;
-  /// Optional shared pool (one per campaign/process); when null and
-  /// num_threads != 1 the assigner spawns its own.
-  std::shared_ptr<ThreadPool> pool;
 };
 
 /// iCrowd's ADAPTIVE ASSIGNER (Algorithm 2 / §4):
@@ -54,9 +43,8 @@ struct AdaptiveAssignerOptions {
 /// Threading contract: single-writer, like the campaign that owns it. The
 /// driving thread mutates estimates and the plan cache without locks; the
 /// only cross-thread surface is stats(), whose counters are all atomics so
-/// a concurrent poller reads torn-free snapshots. Internal ParallelFor
-/// fan-out synchronizes via the pool's own mutex (level 1 in
-/// tools/lock_order.txt), never via state in this class.
+/// a concurrent poller reads torn-free snapshots. A request runs entirely
+/// on the driving thread: there is no internal fan-out.
 class AdaptiveAssigner : public Assigner {
  public:
   /// `dataset` must outlive the assigner.
@@ -65,11 +53,7 @@ class AdaptiveAssigner : public Assigner {
                    AdaptiveAssignerOptions options = {})
       : dataset_(dataset),
         estimator_(std::move(estimator)),
-        options_(std::move(options)) {
-    if (options_.pool == nullptr && options_.num_threads != 1) {
-      options_.pool = std::make_shared<ThreadPool>(options_.num_threads);
-    }
-  }
+        options_(options) {}
 
   std::string name() const override {
     return options_.adaptive_updates ? "Adapt" : "QF-Only";
@@ -119,7 +103,6 @@ class AdaptiveAssigner : public Assigner {
   Status RestoreState(BinaryReader* reader, const CampaignState& state);
 
  private:
-  ThreadPool* pool() const { return options_.pool.get(); }
   void RefreshDirtyWorkers(const CampaignState& state);
   void RecomputeScheme(const CampaignState& state,
                        const std::vector<WorkerId>& active_workers);

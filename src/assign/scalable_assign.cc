@@ -20,12 +20,11 @@ double SparseWorkerEstimate::Accuracy(TaskId task) const {
 std::vector<TopWorkerSet> ScalableAssign(
     size_t num_tasks, int assignment_size,
     const std::vector<SparseWorkerEstimate>& workers,
-    ScalableAssignStats* stats, ThreadPool* pool) {
+    ScalableAssignStats* stats) {
   const size_t k = static_cast<size_t>(std::max(1, assignment_size));
 
-  // Touched tasks: any task some worker has an explicit score for. Sorted
-  // so candidate order (and thus the parallel fan-out merge) is
-  // deterministic.
+  // Touched tasks: any task some worker has an explicit score for, sorted
+  // so candidate order is deterministic.
   std::unordered_set<TaskId> touched_set;
   for (const SparseWorkerEstimate& w : workers) {
     for (const auto& [t, _] : w.scores) {
@@ -38,12 +37,11 @@ std::vector<TopWorkerSet> ScalableAssign(
   std::vector<TopWorkerSet> candidates;
   candidates.reserve(touched.size() + workers.size() / k + 1);
 
-  // Per-task top-k for touched tasks only, one independent slot per task.
-  candidates.resize(touched.size());
-  auto compute_one = [&](size_t i) {
-    TaskId t = touched[i];
-    std::vector<std::pair<double, WorkerId>> scored;
-    scored.reserve(workers.size());
+  // Per-task top-k for touched tasks only.
+  std::vector<std::pair<double, WorkerId>> scored;
+  scored.reserve(workers.size());
+  for (TaskId t : touched) {
+    scored.clear();
     for (const SparseWorkerEstimate& w : workers) {
       scored.emplace_back(w.Accuracy(t), w.worker);
     }
@@ -53,17 +51,12 @@ std::vector<TopWorkerSet> ScalableAssign(
                         if (a.first != b.first) return a.first > b.first;
                         return a.second < b.second;
                       });
-    TopWorkerSet& set = candidates[i];
+    TopWorkerSet& set = candidates.emplace_back();
     set.task = t;
     for (size_t j = 0; j < keep; ++j) {
       set.workers.push_back(scored[j].second);
       set.accuracies.push_back(scored[j].first);
     }
-  };
-  if (pool != nullptr && touched.size() > 1) {
-    pool->ParallelFor(touched.size(), compute_one);
-  } else {
-    for (size_t i = 0; i < touched.size(); ++i) compute_one(i);
   }
 
   // Fallback index for untouched tasks: every untouched task ranks workers

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "assign/top_workers.h"
-#include "common/thread_pool.h"
 #include "graph/ppr.h"
 
 namespace icrowd {
@@ -43,14 +42,12 @@ struct ScalableAssignStats {
 ///   3. runs Algorithm 3 over this candidate set.
 /// Cost is O(touched · W log k + W log W) — independent of |T| except for
 /// the final scheme size — which is what makes assignment time grow
-/// sub-linearly as tasks are inserted. With a non-null `pool` the per-task
-/// top-k computations for touched tasks fan out across its workers; touched
-/// tasks are processed in ascending id order and merged deterministically,
-/// so the scheme is identical at any thread count.
+/// sub-linearly as tasks are inserted. Touched tasks are processed in
+/// ascending id order, so the scheme is deterministic.
 std::vector<TopWorkerSet> ScalableAssign(
     size_t num_tasks, int assignment_size,
     const std::vector<SparseWorkerEstimate>& workers,
-    ScalableAssignStats* stats = nullptr, ThreadPool* pool = nullptr);
+    ScalableAssignStats* stats = nullptr);
 
 }  // namespace icrowd
 

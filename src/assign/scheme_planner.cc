@@ -8,54 +8,46 @@
 
 namespace icrowd {
 
-void SchemePlanner::RankTasks(const CampaignState& state, ThreadPool* pool) {
+void SchemePlanner::RankTasks(const CampaignState& state) {
   ICROWD_TRACE_SCOPE("assign.top_worker_sets");
   const size_t n = workers_.size();
   ranking_.resize(tasks_.size() * n);
   ranked_.assign(tasks_.size(), 0);
   slots_.resize(tasks_.size());
-  // Each task writes only its own slice and slots, so the fan-out is
-  // bit-identical to the serial loop at any thread count.
-  auto rank_one = [&](size_t i) {
+  scored_.resize(n);
+  for (size_t i = 0; i < tasks_.size(); ++i) {
     const TaskId task = tasks_[i];
     slots_[i] = state.RemainingSlots(task);
-    if (slots_[i] <= 0) return;
+    if (slots_[i] <= 0) continue;
     // Sorted with their p̂ on the side; only the keys are kept, since rows_
     // still holds every p̂.
-    thread_local std::vector<ScoredWorker> scored;
-    scored.resize(n);
     for (size_t j = 0; j < n; ++j) {
-      scored[j] = {rows_[j][task], static_cast<int32_t>(j)};
+      scored_[j] = {rows_[j][task], static_cast<int32_t>(j)};
     }
     // W^u(t): drop the active workers already assigned to the task.
-    auto end = scored.end();
+    auto end = scored_.end();
     bool dropped = false;
     for (WorkerId w : state.AssignedWorkers(task)) {
       if (w < 0 || static_cast<size_t>(w) >= key_of_.size()) continue;
       if (key_of_[w] < 0) continue;
-      scored[key_of_[w]].worker = -1;
+      scored_[key_of_[w]].worker = -1;
       dropped = true;
     }
     if (dropped) {
-      end = std::remove_if(scored.begin(), end, [](const ScoredWorker& e) {
+      end = std::remove_if(scored_.begin(), end, [](const ScoredWorker& e) {
         return e.worker < 0;
       });
     }
-    std::sort(scored.begin(), end, RanksBefore());
+    std::sort(scored_.begin(), end, RanksBefore());
     int32_t* ranking = ranking_.data() + i * n;
-    for (auto it = scored.begin(); it != end; ++it) *ranking++ = it->worker;
-    ranked_[i] = static_cast<uint32_t>(end - scored.begin());
-  };
-  if (pool != nullptr && tasks_.size() > 1) {
-    pool->ParallelFor(tasks_.size(), rank_one);
-  } else {
-    for (size_t i = 0; i < tasks_.size(); ++i) rank_one(i);
+    for (auto it = scored_.begin(); it != end; ++it) *ranking++ = it->worker;
+    ranked_[i] = static_cast<uint32_t>(end - scored_.begin());
   }
 }
 
 std::vector<TopWorkerSet> SchemePlanner::Plan(
     const CampaignState& state, const std::vector<WorkerId>& active_workers,
-    const AccuracyRowFn& rows, bool multi_round, ThreadPool* pool) {
+    const AccuracyRowFn& rows, bool multi_round) {
   const TopSetMetrics& metrics = TopSetMetrics::Get();
   std::vector<TopWorkerSet> scheme;
   tasks_ = state.UncompletedTasks();
@@ -67,7 +59,7 @@ std::vector<TopWorkerSet> SchemePlanner::Plan(
   for (size_t j = 0; j < n; ++j) key_of_[workers_[j]] = static_cast<int32_t>(j);
   rows_.resize(n);
   for (size_t j = 0; j < n; ++j) rows_[j] = rows(workers_[j]);
-  RankTasks(state, pool);
+  RankTasks(state);
 
   planned_.assign(n, 0);
   skip_.assign(tasks_.size(), 0);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "assign/top_workers.h"
-#include "common/thread_pool.h"
 #include "model/campaign_state.h"
 
 namespace icrowd {
@@ -25,15 +24,14 @@ using AccuracyRowFn = std::function<const double*(WorkerId)>;
 /// 3 set in any round is the first k' entries of one ranking that are not
 /// yet planned. The planner therefore:
 ///   1. ranks every uncompleted task's eligible active workers once, by
-///      RanksBefore (p̂ desc, worker id asc) — the only step that fans out
-///      over `pool`, one task per slot;
+///      RanksBefore (p̂ desc, worker id asc);
 ///   2. per round, reads each remaining task's set off its ranking, skipping
 ///      planned workers;
 ///   3. runs GreedySelect on those sets.
 /// The plan — sets, their order, their p̂ sums — and the icrowd.assign.*
 /// deterministic metrics are exactly those of re-running
 /// ComputeTopWorkerSets + GreedyAssign on the remaining workers and tasks
-/// each round (assign_test pins this), at any thread count.
+/// each round (assign_test pins this).
 ///
 /// The object only holds scratch buffers, reused across calls and fully
 /// rewritten by each; it is not safe to call Plan concurrently on one
@@ -46,12 +44,11 @@ class SchemePlanner {
   /// round, each round in acceptance order.
   std::vector<TopWorkerSet> Plan(const CampaignState& state,
                                  const std::vector<WorkerId>& active_workers,
-                                 const AccuracyRowFn& rows, bool multi_round,
-                                 ThreadPool* pool = nullptr);
+                                 const AccuracyRowFn& rows, bool multi_round);
 
  private:
   /// Step 1: fills ranking_/ranked_/slots_ for tasks_ over workers_.
-  void RankTasks(const CampaignState& state, ThreadPool* pool);
+  void RankTasks(const CampaignState& state);
 
   // Active workers in ascending id order: a worker's index here is its
   // dense key, and index order is id order, so RanksBefore on indices is
@@ -67,6 +64,8 @@ class SchemePlanner {
   std::vector<int32_t> ranking_;
   std::vector<uint32_t> ranked_;
   std::vector<int> slots_;
+  // One task's eligible workers with their p̂, sorted to build its ranking.
+  std::vector<ScoredWorker> scored_;
   // Ranking prefix known to be planned, per task (planned only grows).
   std::vector<uint32_t> skip_;
   std::vector<uint8_t> planned_;

@@ -1,6 +1,7 @@
 #include "assign/top_workers.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace icrowd {
 
@@ -61,41 +62,29 @@ TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
 
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const CampaignState& state, const std::vector<WorkerId>& active_workers,
-    const AccuracyFn& accuracy, bool require_full, ThreadPool* pool) {
+    const AccuracyFn& accuracy, bool require_full) {
   return ComputeTopWorkerSets(state.UncompletedTasks(), state,
-                              active_workers, accuracy, require_full, pool);
+                              active_workers, accuracy, require_full);
 }
 
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
-    bool require_full, ThreadPool* pool) {
+    bool require_full) {
   const TopSetMetrics& metrics = TopSetMetrics::Get();
   ICROWD_TRACE_SCOPE("assign.top_worker_sets");
-  // Fan out one slot per task, then merge in index order: the output is the
-  // same sequence the serial loop produces, at any thread count.
-  std::vector<TopWorkerSet> per_task(tasks.size());
-  auto compute_one = [&](size_t i) {
-    per_task[i] = ComputeTopWorkerSet(tasks[i], state, active_workers,
-                                      accuracy);
-  };
-  if (pool != nullptr && tasks.size() > 1) {
-    pool->ParallelFor(tasks.size(), compute_one);
-  } else {
-    for (size_t i = 0; i < tasks.size(); ++i) compute_one(i);
-  }
   metrics.computed.Increment(tasks.size());
   std::vector<TopWorkerSet> sets;
   sets.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    TopWorkerSet& set = per_task[i];
+  for (TaskId task : tasks) {
+    TopWorkerSet set =
+        ComputeTopWorkerSet(task, state, active_workers, accuracy);
     if (set.empty()) {
       metrics.skipped.Increment();
       continue;
     }
     if (require_full &&
-        static_cast<int>(set.workers.size()) <
-            state.RemainingSlots(tasks[i])) {
+        static_cast<int>(set.workers.size()) < state.RemainingSlots(task)) {
       metrics.skipped.Increment();
       continue;
     }

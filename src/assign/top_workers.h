@@ -5,7 +5,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "estimation/observed_accuracy.h"
 #include "model/campaign_state.h"
 #include "obs/metrics.h"
@@ -65,21 +64,15 @@ TopWorkerSet ComputeTopWorkerSet(TaskId task, const CampaignState& state,
 /// Step 1 of Algorithm 2: top worker sets for every uncompleted task.
 /// Tasks with no eligible worker are omitted. When `require_full` is true
 /// only sets that can globally complete the task (|Ŵ(t)| == k') are kept.
-/// With a non-null `pool` the per-task computations run across its workers
-/// (each task's set is independent given the frozen accuracy function) and
-/// are merged back in task-index order, so the result is identical to the
-/// serial loop at any thread count. `accuracy` must be safe to invoke
-/// concurrently (any pure read of estimator state is).
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const CampaignState& state, const std::vector<WorkerId>& active_workers,
-    const AccuracyFn& accuracy, bool require_full = false,
-    ThreadPool* pool = nullptr);
+    const AccuracyFn& accuracy, bool require_full = false);
 
 /// As above, restricted to an explicit candidate task list.
 std::vector<TopWorkerSet> ComputeTopWorkerSets(
     const std::vector<TaskId>& tasks, const CampaignState& state,
     const std::vector<WorkerId>& active_workers, const AccuracyFn& accuracy,
-    bool require_full = false, ThreadPool* pool = nullptr);
+    bool require_full = false);
 
 }  // namespace icrowd
 

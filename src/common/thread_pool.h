@@ -1,85 +1,25 @@
 #ifndef ICROWD_COMMON_THREAD_POOL_H_
 #define ICROWD_COMMON_THREAD_POOL_H_
 
-#include <chrono>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <queue>
-#include <thread>
-#include <vector>
-
-#include "common/thread_annotations.h"
 
 namespace icrowd {
 
-/// Fixed-size worker pool. Originally only the offline per-seed
-/// personalized-PageRank precomputation (Algorithm 1's offline phase) used
-/// it; the online assignment pipeline (dirty-worker refresh and per-task
-/// top-worker-set computation) now shares one pool handle per campaign so
-/// threads are spawned once, not per round.
-///
-/// Exception contract: a task that throws does not kill the worker thread.
-/// The first exception raised by any task since the last Wait() is captured
-/// and rethrown by the next Wait() call, after every in-flight task has
-/// drained — Wait() never deadlocks on a throwing task. Exceptions raised
-/// while no one ever calls Wait() again are swallowed at destruction.
-///
-/// Locking: all queue and bookkeeping state is guarded by mutex_ (level 1
-/// in tools/lock_order.txt — it may be held while recording metrics, which
-/// can take the registry mutex on a shard-allocation slow path).
+/// One-shot fan-out for the offline personalized-PageRank precompute
+/// (Algorithm 1's offline phase), the only parallel loop inside a campaign.
+/// The online path runs one thread per request; hosts scale out by shard
+/// (DESIGN.md §7). Not instantiable: there is no long-lived pool.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1; 0 means hardware concurrency).
-  explicit ThreadPool(size_t num_threads = 0);
-  ~ThreadPool();
+  ThreadPool() = delete;
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; never blocks. Safe to call concurrently with Wait():
-  /// an in-flight Wait() also waits for the newly submitted task.
-  void Submit(std::function<void()> task) ICROWD_EXCLUDES(mutex_);
-
-  /// Blocks until all submitted tasks have finished, then rethrows the
-  /// first exception any of them raised (if any).
-  void Wait() ICROWD_EXCLUDES(mutex_);
-
-  size_t num_threads() const { return threads_.size(); }
-
-  /// Runs fn(i) for i in [0, count) across this pool's workers and blocks
-  /// until done; the calling thread runs nothing itself unless the pool has
-  /// a single worker (then fn runs inline). Rethrows the first exception fn
-  /// raised; remaining indices are skipped after a failure. Must not be
-  /// called from inside a pool task (it would deadlock in Wait()).
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// One-shot variant: spawns up to `num_threads` fresh threads (0 means
-  /// hardware concurrency), runs fn(i) for i in [0, count), joins, and
-  /// rethrows the first exception fn raised.
+  /// Spawns up to `num_threads` fresh threads (0 means hardware
+  /// concurrency), runs fn(i) for i in [0, count), joins, and rethrows the
+  /// first exception fn raised; remaining indices are skipped after a
+  /// failure. With one thread (or one index) fn runs inline.
   static void ParallelFor(size_t count, size_t num_threads,
                           const std::function<void(size_t)>& fn);
-
- private:
-  /// Queue entry carrying its enqueue instant, so the worker that dequeues
-  /// it can report scheduling latency (icrowd.pool.task_wait_seconds).
-  struct QueuedTask {
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void WorkerLoop() ICROWD_EXCLUDES(mutex_);
-
-  /// Written only during construction and joined in the destructor;
-  /// immutable while any worker or client thread runs.
-  std::vector<std::thread> threads_;  // lint: guarded-ok(set in ctor only)
-  Mutex mutex_;
-  CondVar work_available_;
-  CondVar all_done_;
-  std::queue<QueuedTask> queue_ ICROWD_GUARDED_BY(mutex_);
-  size_t in_flight_ ICROWD_GUARDED_BY(mutex_) = 0;
-  bool shutting_down_ ICROWD_GUARDED_BY(mutex_) = false;
-  std::exception_ptr first_error_ ICROWD_GUARDED_BY(mutex_);
 };
 
 }  // namespace icrowd

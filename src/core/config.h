@@ -21,8 +21,9 @@ namespace icrowd {
 /// binds journals and snapshots to their campaign — except the two
 /// injection points `clock` and `journal_sink`, which carry no decisions of
 /// their own (the clock's *readings* are journaled; the sink only stores
-/// bytes). Execution knobs — thread counts, pools, shard layout, journal
-/// paths, observability ports — live in HostConfig (host/host_config.h):
+/// bytes), and estimator.ppr.num_threads, the offline precompute's thread
+/// count. Execution knobs — shard layout, journal paths, observability
+/// ports — live in HostConfig (host/host_config.h):
 /// the v2 API split that makes "same config, any machine shape, identical
 /// bytes" a type-system guarantee.
 struct ICrowdConfig {

@@ -39,7 +39,7 @@ Result<std::vector<Label>> AggregatePredictions(
 Result<ExperimentResult> RunExperiment(
     const Dataset& dataset, const std::vector<WorkerProfile>& profiles,
     const SimilarityGraph& graph, const ICrowdConfig& config,
-    StrategyKind strategy_kind, const HostConfig& host) {
+    StrategyKind strategy_kind) {
   ICROWD_RETURN_NOT_OK(dataset.Validate());
 
   static const obs::Counter experiments_counter =
@@ -64,7 +64,7 @@ Result<ExperimentResult> RunExperiment(
   ICROWD_ASSIGN_OR_RETURN(
       Strategy strategy,
       MakeStrategy(strategy_kind, dataset, engine.MoveValueOrDie(), config,
-                   result.qualification.tasks, host));
+                   result.qualification.tasks));
   result.strategy_name = strategy.name;
 
   SimulationOptions sim_options;
@@ -96,11 +96,10 @@ Result<ExperimentResult> RunExperiment(
 
 Result<ExperimentResult> RunExperiment(
     const Dataset& dataset, const std::vector<WorkerProfile>& profiles,
-    const ICrowdConfig& config, StrategyKind strategy,
-    const HostConfig& host) {
+    const ICrowdConfig& config, StrategyKind strategy) {
   auto graph = SimilarityGraph::Build(dataset, config.graph);
   if (!graph.ok()) return graph.status();
-  return RunExperiment(dataset, profiles, *graph, config, strategy, host);
+  return RunExperiment(dataset, profiles, *graph, config, strategy);
 }
 
 }  // namespace icrowd

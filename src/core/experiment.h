@@ -8,7 +8,6 @@
 #include "core/config.h"
 #include "core/strategy_factory.h"
 #include "graph/similarity_graph.h"
-#include "host/host_config.h"
 #include "model/dataset.h"
 #include "qualification/qualification_selector.h"
 #include "sim/metrics.h"
@@ -32,19 +31,16 @@ struct ExperimentResult {
 
 /// Runs one full campaign of `strategy` (selection of qualification tasks →
 /// warm-up → adaptive loop → aggregation → scoring) on `dataset` with the
-/// given worker pool, reusing a prebuilt similarity `graph`. `host` carries
-/// the execution-only knobs (threads, pool); results are bit-identical at
-/// any HostConfig.
+/// given worker pool, reusing a prebuilt similarity `graph`.
 Result<ExperimentResult> RunExperiment(
     const Dataset& dataset, const std::vector<WorkerProfile>& profiles,
     const SimilarityGraph& graph, const ICrowdConfig& config,
-    StrategyKind strategy, const HostConfig& host = {});
+    StrategyKind strategy);
 
 /// Convenience overload building the graph from `config.graph` first.
 Result<ExperimentResult> RunExperiment(
     const Dataset& dataset, const std::vector<WorkerProfile>& profiles,
-    const ICrowdConfig& config, StrategyKind strategy,
-    const HostConfig& host = {});
+    const ICrowdConfig& config, StrategyKind strategy);
 
 /// Applies a strategy's aggregation to a finished simulation, producing
 /// per-task predictions (consensus-based strategies read the campaign

@@ -51,9 +51,10 @@ uint64_t Fnv1aF64(uint64_t hash, double value) {
 /// Hash binding journals/snapshots to the campaign they came from: the
 /// dataset contents, every decision-relevant configuration scalar, and the
 /// PPR kernel's numerics revision.
-/// Execution state (all of HostConfig, plus the clock and journal_sink
-/// injection points) is excluded — recovery at a different thread count or
-/// shard layout is bit-identical by contract.
+/// Execution state (all of HostConfig, the clock and journal_sink
+/// injection points, and estimator.ppr.num_threads) is excluded — recovery
+/// at a different PPR thread count or shard layout is bit-identical by
+/// contract. core_test perturbs every ICrowdConfig field to pin this split.
 uint64_t CampaignFingerprint(const Dataset& dataset,
                              const ICrowdConfig& config) {
   uint64_t h = 14695981039346656037ull;
@@ -72,11 +73,25 @@ uint64_t CampaignFingerprint(const Dataset& dataset,
   h = Fnv1a(h, config.num_qualification);
   h = Fnv1a(h, config.qualification_greedy ? 1u : 0u);
   h = Fnv1aF64(h, config.influence_epsilon);
+  const GraphBuildOptions& graph = config.graph;
+  h = Fnv1a(h, static_cast<uint64_t>(graph.measure));
+  h = Fnv1aF64(h, graph.threshold);
+  h = Fnv1a(h, graph.max_neighbors);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_topics));
+  h = Fnv1aF64(h, graph.lda.alpha);
+  h = Fnv1aF64(h, graph.lda.beta);
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.num_iterations));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.burn_in));
+  h = Fnv1a(h, static_cast<uint64_t>(graph.lda.sample_lag));
+  h = Fnv1a(h, graph.lda.seed);
   h = Fnv1aF64(h, config.estimator.default_accuracy);
   h = Fnv1aF64(h, config.estimator.prior_strength);
   h = Fnv1aF64(h, config.estimator.min_mass);
   h = Fnv1a(h, config.estimator.confidence_weighting ? 1u : 0u);
   h = Fnv1aF64(h, config.estimator.ppr.alpha);
+  h = Fnv1a(h, static_cast<uint64_t>(config.estimator.ppr.max_iterations));
+  h = Fnv1aF64(h, config.estimator.ppr.tolerance);
+  h = Fnv1aF64(h, config.estimator.ppr.prune_epsilon);
   // The p̂ a campaign replays against depends on the precompute's exact
   // floating-point results, not just on its options.
   h = Fnv1a(h, kPprNumericsRevision);
@@ -197,12 +212,8 @@ Result<std::unique_ptr<ICrowd>> ICrowd::Build(Dataset dataset,
       std::move(dataset), std::move(config), std::move(host),
       graph.MoveValueOrDie(), std::move(qualification),
       warmup_check.MoveValueOrDie(), nullptr));
-  AdaptiveAssignerOptions assigner_options;
-  assigner_options.num_threads = icrowd->host_config_.num_threads;
-  assigner_options.pool = icrowd->host_config_.pool;
   icrowd->assigner_ = std::make_unique<AdaptiveAssigner>(
-      &icrowd->dataset_, std::move(owned_estimator),
-      std::move(assigner_options));
+      &icrowd->dataset_, std::move(owned_estimator));
   // Rebuild warm-up against the member dataset (cheap; holds pointers).
   auto warmup = WarmupComponent::Create(
       &icrowd->dataset_, icrowd->qualification_.tasks,

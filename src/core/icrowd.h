@@ -64,8 +64,7 @@ class ICrowd {
   /// configured tasks lack ground truth for qualification.
   /// When config.journal_sink is set the campaign-begin record is appended
   /// (and flushed) before this returns. `host` carries execution-only knobs
-  /// (threads, pool, observability port) and never affects a decision —
-  /// the defaulted value is the v1-compatible serial configuration.
+  /// (observability port and label) and never affects a decision.
   static Result<std::unique_ptr<ICrowd>> Create(Dataset dataset,
                                                 ICrowdConfig config = {},
                                                 HostConfig host = {});
@@ -81,7 +80,7 @@ class ICrowd {
   /// set, starts receiving *new* events only after replay completes — pass
   /// a sink positioned at the journal's end (e.g. an append-mode FileSink).
   /// `host` may differ freely from the recording run's HostConfig: replay
-  /// is bit-identical at any thread count or shard layout.
+  /// is bit-identical at any shard layout.
   static Result<std::unique_ptr<ICrowd>> Restore(
       Dataset dataset, ICrowdConfig config,
       const std::vector<uint8_t>& snapshot,

@@ -57,8 +57,7 @@ Result<std::unique_ptr<AccuracyEstimator>> MakeEstimator(
 
 Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
                               PprEngine engine, const ICrowdConfig& config,
-                              const std::vector<TaskId>& qualification_tasks,
-                              const HostConfig& host) {
+                              const std::vector<TaskId>& qualification_tasks) {
   Strategy strategy;
   strategy.name = StrategyName(kind);
   switch (kind) {
@@ -91,10 +90,8 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
           MakeEstimator(std::move(engine), config, qualification_tasks));
       AdaptiveAssignerOptions options;
       options.adaptive_updates = false;
-      options.num_threads = host.num_threads;
-      options.pool = host.pool;
       auto assigner = std::make_unique<AdaptiveAssigner>(
-          &dataset, std::move(estimator), std::move(options));
+          &dataset, std::move(estimator), options);
       strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
       strategy.assigner = std::move(assigner);
       strategy.aggregation = AggregationKind::kConsensus;
@@ -115,11 +112,8 @@ Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
       ICROWD_ASSIGN_OR_RETURN(
           auto estimator,
           MakeEstimator(std::move(engine), config, qualification_tasks));
-      AdaptiveAssignerOptions options;
-      options.num_threads = host.num_threads;
-      options.pool = host.pool;
-      auto assigner = std::make_unique<AdaptiveAssigner>(
-          &dataset, std::move(estimator), std::move(options));
+      auto assigner =
+          std::make_unique<AdaptiveAssigner>(&dataset, std::move(estimator));
       strategy.accuracy_fn = assigner->estimator().AsAccuracyFn();
       strategy.assigner = std::move(assigner);
       strategy.aggregation = AggregationKind::kConsensus;

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "core/config.h"
 #include "graph/ppr.h"
-#include "host/host_config.h"
 #include "model/dataset.h"
 #include "qualification/qualification_selector.h"
 
@@ -62,13 +61,10 @@ Result<QualificationSelection> SelectCampaignQualification(
 /// (the one qualification selection ran on). The graph-based strategies
 /// move it into their estimator; the others drop it. `qualification_tasks`
 /// are the campaign's gold tasks (wired into the estimator for Eq. 5).
-/// `dataset` must outlive the returned strategy. `host` supplies the
-/// execution-only knobs (hot-path threads, shared pool); the default is
-/// serial.
+/// `dataset` must outlive the returned strategy.
 Result<Strategy> MakeStrategy(StrategyKind kind, const Dataset& dataset,
                               PprEngine engine, const ICrowdConfig& config,
-                              const std::vector<TaskId>& qualification_tasks,
-                              const HostConfig& host = {});
+                              const std::vector<TaskId>& qualification_tasks);
 
 }  // namespace icrowd
 

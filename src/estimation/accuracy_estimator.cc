@@ -89,25 +89,15 @@ void AccuracyEstimator::Refresh(WorkerId worker, const CampaignState& state,
 
 void AccuracyEstimator::RefreshMany(const std::vector<WorkerId>& workers,
                                     const CampaignState& state,
-                                    const Dataset& dataset, ThreadPool* pool) {
+                                    const Dataset& dataset, ThreadPool*) {
   if (workers.empty()) return;
   // Snapshot the Eq. (5) inputs before any model is overwritten: every
   // refresh this round grades against the same pre-round estimates, so the
-  // results cannot depend on refresh order — which makes the parallel
-  // fan-out below bit-identical to the serial loop at any thread count.
-  // The listed workers are exactly the set being mutated; everyone else's
-  // live state is read-only during the round.
+  // results do not depend on refresh order. The listed workers are exactly
+  // the set being mutated; everyone else's live state is read-only during
+  // the round.
   AccuracyFn pre_round = SnapshotAccuracyFn(workers);
-  // Registration may grow the worker table — do it serially up front.
-  for (WorkerId w : workers) EnsureRegistered(w);
-  auto refresh_one = [&](size_t i) {
-    Refresh(workers[i], state, dataset, pre_round);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(workers.size(), refresh_one);
-  } else {
-    for (size_t i = 0; i < workers.size(); ++i) refresh_one(i);
-  }
+  for (WorkerId w : workers) Refresh(w, state, dataset, pre_round);
 }
 
 void AccuracyEstimator::RebuildModelFromObserved(WorkerModel& model) {
@@ -181,7 +171,7 @@ AccuracyFn AccuracyEstimator::SnapshotAccuracyFn(
   static const obs::Counter snapshots =
       obs::MetricsRegistry::Global().GetCounter(
           "icrowd.estimation.snapshots",
-          {true, "pre-round model snapshots taken for parallel refreshes"});
+          {true, "pre-round model snapshots taken for dirty-set refreshes"});
   snapshots.Increment();
   auto frozen =
       std::make_shared<std::unordered_map<WorkerId, WorkerModel>>();

@@ -6,7 +6,6 @@
 
 #include "common/binary_io.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "estimation/observed_accuracy.h"
 #include "graph/ppr.h"
 #include "graph/similarity_graph.h"
@@ -14,6 +13,8 @@
 #include "model/dataset.h"
 
 namespace icrowd {
+
+class ThreadPool;
 
 struct AccuracyEstimatorOptions {
   PprOptions ppr;
@@ -81,8 +82,6 @@ class AccuracyEstimator {
   /// the warm-up component measured on qualification tasks.
   void RegisterWorker(WorkerId worker, double warmup_accuracy);
   /// Registers `worker` with the default accuracy if not yet registered.
-  /// Parallel Refresh callers must pre-register every worker serially:
-  /// registration may grow the worker table.
   void EnsureRegistered(WorkerId worker);
   bool IsRegistered(WorkerId worker) const {
     return worker >= 0 && static_cast<size_t>(worker) < workers_.size() &&
@@ -97,25 +96,25 @@ class AccuracyEstimator {
 
   /// As above, but Eq. (5) reads co-workers' estimates through
   /// `coworker_accuracy` instead of this estimator's live state. With a
-  /// SnapshotAccuracyFn over the batch being refreshed, concurrent calls on
-  /// distinct *registered* workers are thread-safe and the results are
-  /// independent of refresh order (and therefore of thread count).
+  /// SnapshotAccuracyFn over the batch being refreshed, the results are
+  /// independent of refresh order.
   void Refresh(WorkerId worker, const CampaignState& state,
                const Dataset& dataset, const AccuracyFn& coworker_accuracy);
 
   /// Amortized dirty-set refresh (DESIGN.md §12): refreshes every listed
-  /// worker against one pre-round SnapshotAccuracyFn, registering them
-  /// serially and fanning the per-worker Refresh out on `pool` (serial when
-  /// null). `workers` must be duplicate-free and should be sorted so the
-  /// round is a deterministic function of the set. One call refreshes a
-  /// whole batch's dirty set at the cost of a single snapshot.
+  /// worker, in order, against one pre-round SnapshotAccuracyFn, so no
+  /// refresh in the round sees another's result. `workers` must be
+  /// duplicate-free and should be sorted so the round is a deterministic
+  /// function of the set. One call refreshes a whole batch's dirty set at
+  /// the cost of a single snapshot.
+  /// Unread ThreadPool*: deleted once perfbench's shadow call drops it.
   void RefreshMany(const std::vector<WorkerId>& workers,
                    const CampaignState& state, const Dataset& dataset,
-                   ThreadPool* pool);
+                   ThreadPool* /*unused*/ = nullptr);
 
   /// Returns an AccuracyFn that serves the listed workers from a copy of
   /// their current estimate state (frozen at call time) and every other
-  /// worker from live state. This is the pre-round snapshot the parallel
+  /// worker from live state. This is the pre-round snapshot the
   /// dirty-worker refresh feeds to Eq. (5): the listed workers are exactly
   /// the ones about to be overwritten, so freezing them makes every grade
   /// this round read the same pre-round estimates no matter which workers

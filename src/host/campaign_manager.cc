@@ -182,9 +182,6 @@ CampaignManager::CampaignManager(HostConfig host,
 Result<std::unique_ptr<CampaignManager>> CampaignManager::Start(
     HostConfig host) {
   if (host.num_shards == 0) host.num_shards = 1;
-  if (host.num_threads > 1 && host.pool == nullptr) {
-    host.pool = std::make_shared<ThreadPool>(host.num_threads);
-  }
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(host.num_shards);
   for (size_t i = 0; i < host.num_shards; ++i) {
@@ -273,8 +270,6 @@ Result<CampaignHandle> CampaignManager::AddCampaign(CampaignOptions options,
   // id and the round-robin cursor are not reused — placement is a
   // function of creation *attempts*, which is still deterministic.
   HostConfig campaign_host;
-  campaign_host.num_threads = host_.num_threads;
-  campaign_host.pool = host_.pool;
   campaign_host.campaign_label = campaign->name;
   FileSink::Options file_options{host_.fsync_journal};
   Result<std::unique_ptr<ICrowd>> system =

@@ -87,9 +87,6 @@ class CampaignManager {
   /// Builds the shards, starts one consumer thread per shard, and — when
   /// host.serve_obs_port >= 0 — starts the embedded ObsServer with the
   /// manager's per-campaign /metricsz and /statusz providers attached.
-  /// With num_threads > 1 and no explicit pool, one ThreadPool is created
-  /// here and shared by every hosted campaign (a pool per campaign would
-  /// not survive thousands of them).
   static Result<std::unique_ptr<CampaignManager>> Start(HostConfig host);
 
   /// Shutdown(), then stops the ObsServer.
@@ -226,7 +223,6 @@ class CampaignManager {
   void ApplyCampaignSlice(Shard* shard, uint32_t slot,
                           const std::vector<IngestEvent>& events);
 
-  /// host_.pool also keeps the Start-created shared pool alive.
   const HostConfig host_;
   /// Shard array is fixed at Start (const: campaigns move, shards never).
   const std::vector<std::unique_ptr<Shard>> shards_;

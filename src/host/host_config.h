@@ -2,10 +2,7 @@
 #define ICROWD_HOST_HOST_CONFIG_H_
 
 #include <cstddef>
-#include <memory>
 #include <string>
-
-#include "common/thread_pool.h"
 
 namespace icrowd {
 
@@ -17,22 +14,13 @@ namespace icrowd {
 /// the fingerprint boundary honest.
 ///
 /// One struct serves both hosting modes: the single-campaign ICrowd facade
-/// reads the threading and observability knobs, CampaignManager additionally
-/// reads the shard/queue/journal-directory knobs.
+/// reads the observability knobs, CampaignManager additionally reads the
+/// shard/queue/journal-directory knobs. A request runs on one thread; a
+/// host scales out by shard (DESIGN.md §7).
 struct HostConfig {
   /// CampaignManager shards: each shard is one consumer thread owning a
   /// disjoint set of campaigns. Ignored by the single-campaign facade.
   size_t num_shards = 1;
-  /// Threads for the *online* assignment hot path (dirty-worker estimate
-  /// refresh + per-task top-worker-set fan-out). 1 = serial, 0 = hardware
-  /// concurrency. Campaign results are bit-identical at any value; see
-  /// DESIGN.md "Concurrency model". (The *offline* PPR precompute is
-  /// controlled separately by ICrowdConfig::estimator.ppr.num_threads.)
-  size_t num_threads = 1;
-  /// Optional pre-built pool shared across strategies/experiments/campaigns
-  /// so threads are spawned once per process, not per campaign. When null
-  /// and num_threads != 1 each adaptive assigner creates its own.
-  std::shared_ptr<ThreadPool> pool;
   /// Label stamped on /metricsz exposition lines (campaign="<label>") by the
   /// embedded observability server. Empty = unlabeled. CampaignManager
   /// labels each campaign by its own name instead; this field then names

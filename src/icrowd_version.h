@@ -23,8 +23,13 @@
 // 3.1: GreedySelect/GreedyCandidate (the shared Algorithm 3 kernel),
 // ScoredWorker/RanksBefore/TopSetMetrics and AccuracyEstimator::AccuracyRow
 // joined the surface; every existing signature is unchanged.
-#define ICROWD_API_VERSION_MAJOR 3
-#define ICROWD_API_VERSION_MINOR 1
+// 4.0: a request runs on one thread. HostConfig::num_threads/pool, the
+// instance ThreadPool, and the HostConfig parameter of MakeStrategy and
+// RunExperiment are gone (breaking). The campaign fingerprint now hashes
+// every decision field (graph build, LDA, PPR iteration cap, tolerance and
+// prune epsilon), so journals and snapshots from 3.x are refused.
+#define ICROWD_API_VERSION_MAJOR 4
+#define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)
 

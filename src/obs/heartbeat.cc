@@ -53,7 +53,7 @@ int64_t HeartbeatRegistry::NowFixedPoint() const {
 
 Heartbeat* HeartbeatRegistry::Register(const std::string& name) {
   MutexLock lock(mutex_);
-  // Disambiguate duplicates: "pool.worker", "pool.worker#2", ...
+  // Disambiguate duplicates: "host.shard", "host.shard#2", ...
   std::string unique = name;
   int copy = 1;
   for (size_t i = 0; i < entries_.size(); ++i) {

@@ -83,7 +83,7 @@ class HeartbeatRegistry {
   HeartbeatRegistry& operator=(const HeartbeatRegistry&) = delete;
 
   /// Registers a heartbeat under `name` (duplicates get a "#2", "#3", ...
-  /// suffix so two pool workers stay distinguishable). The pointer stays
+  /// suffix so two shard consumers stay distinguishable). The pointer stays
   /// valid until Unregister — heartbeats are pooled, not destroyed.
   Heartbeat* Register(const std::string& name) ICROWD_EXCLUDES(mutex_);
   /// Retires the heartbeat from scans and recycles it. Idempotent; null ok.
@@ -123,7 +123,7 @@ class HeartbeatRegistry {
 };
 
 /// RAII registration against the global registry for scoped thread loops:
-///   ScopedHeartbeat heartbeat("pool.worker");
+///   ScopedHeartbeat heartbeat("host.shard");
 ///   ... heartbeat->MarkIdle(); ... heartbeat->MarkBusy(); ...
 class ScopedHeartbeat {
  public:

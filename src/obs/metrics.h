@@ -187,8 +187,8 @@ struct ExportOptions {
 
 /// Process-wide metrics registry with lock-free sharded-per-thread
 /// recording. Registration (cold) takes a mutex; recording (hot) is a
-/// thread-local shard lookup plus one relaxed atomic add, so instrumenting
-/// the PR-1 thread pool's fan-out paths never serializes them. Snapshots
+/// thread-local shard lookup plus one relaxed atomic add, so instrumented
+/// concurrent threads (host shards, the PPR precompute) never serialize. Snapshots
 /// and exports merge the shards by integer summation.
 ///
 /// Instances are independent (tests use private ones); instrumented

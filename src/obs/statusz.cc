@@ -77,32 +77,27 @@ constexpr const char* kCounters[] = {
     "icrowd.journal.append_bytes",
     "icrowd.journal.flushes",
     "icrowd.journal.fsyncs",
-    "icrowd.pool.tasks_submitted",
     "icrowd.obs.log_records",
     "icrowd.watchdog.trips",
 };
 
 constexpr const char* kGauges[] = {
     "icrowd.ingest.queue_depth",
-    "icrowd.pool.queue_depth",
 };
 
 /// Per-stage latency attribution, in pipeline order: queue wait → batch
-/// assembly → apply → journal flush, plus the pool's scheduling split and
-/// the batch-size shape.
+/// assembly → apply → journal flush, plus the batch-size shape.
 constexpr const char* kHistograms[] = {
     "icrowd.ingest.queue_wait_seconds",
     "icrowd.ingest.batch_assembly_seconds",
     "icrowd.ingest.apply_seconds",
     "icrowd.journal.flush_seconds",
-    "icrowd.pool.task_wait_seconds",
-    "icrowd.pool.task_run_seconds",
     "icrowd.ingest.batch_size",
 };
 
 /// One registry pass for the whole rendering: the glossary used to issue a
-/// locked CounterValue/GaugeValue/HistogramValue call per line (20 lock
-/// round-trips per statusz); SnapshotAll takes the registry mutex once and
+/// locked CounterValue/GaugeValue/HistogramValue call per line (one lock
+/// round-trip each); SnapshotAll takes the registry mutex once and
 /// every lookup below is a binary search over the sorted copy.
 struct MetricsView {
   std::vector<MetricSample> samples;

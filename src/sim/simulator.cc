@@ -35,7 +35,7 @@ struct Event {
 /// into running accuracy and (binary) F1 so the simulator can emit one
 /// trajectory event per completion without rescoring the whole dataset.
 /// The driver loop is single-threaded, so emission order — and therefore
-/// the exported event stream — is deterministic at any pool size.
+/// the exported event stream — is deterministic.
 struct Scoreboard {
   size_t completed = 0;
   size_t correct = 0;

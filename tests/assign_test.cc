@@ -16,7 +16,6 @@
 #include "assign/scheme_planner.h"
 #include "assign/top_workers.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "graph/similarity_graph.h"
 #include "obs/metrics.h"
 
@@ -224,7 +223,7 @@ std::vector<TopWorkerSet> ReferenceGreedyAssign(
 std::vector<TopWorkerSet> ReferencePlan(const CampaignState& state,
                                         const std::vector<WorkerId>& active,
                                         const AccuracyFn& accuracy,
-                                        bool multi_round, ThreadPool* pool) {
+                                        bool multi_round) {
   std::vector<TopWorkerSet> plan;
   std::vector<WorkerId> remaining_workers = active;
   std::vector<TaskId> remaining_tasks = state.UncompletedTasks();
@@ -234,7 +233,7 @@ std::vector<TopWorkerSet> ReferencePlan(const CampaignState& state,
     first_round = false;
     std::vector<TopWorkerSet> scheme = ReferenceGreedyAssign(
         ComputeTopWorkerSets(remaining_tasks, state, remaining_workers,
-                             accuracy, /*require_full=*/false, pool));
+                             accuracy));
     if (scheme.empty()) break;
     std::set<WorkerId> used;
     std::set<TaskId> chosen;
@@ -336,8 +335,6 @@ std::string AssignMetrics() {
 }
 
 TEST(SchemePlannerTest, MatchesRoundLoopReferenceOnRandomInstances) {
-  ThreadPool pool1(1), pool2(2), pool8(8);
-  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool8};
   SchemePlanner planner;  // one planner: scratch reuse across calls
   auto& registry = obs::MetricsRegistry::Global();
   size_t nonempty_multi_round = 0;
@@ -349,29 +346,24 @@ TEST(SchemePlannerTest, MatchesRoundLoopReferenceOnRandomInstances) {
     };
     AccuracyRowFn row_of = [&rows](WorkerId w) { return rows[w].data(); };
     for (bool multi_round : {true, false}) {
-      for (ThreadPool* pool : pools) {
-        SCOPED_TRACE(::testing::Message()
-                     << "seed " << seed << " multi_round " << multi_round
-                     << " threads " << (pool ? pool->num_threads() : 0));
-        registry.ResetForTesting();
-        std::vector<TopWorkerSet> expected = ReferencePlan(
-            instance.state, instance.active, accuracy, multi_round, pool);
-        std::string expected_metrics = AssignMetrics();
-        registry.ResetForTesting();
-        std::vector<TopWorkerSet> plan = planner.Plan(
-            instance.state, instance.active, row_of, multi_round, pool);
-        ASSERT_EQ(plan.size(), expected.size());
-        for (size_t i = 0; i < plan.size(); ++i) {
-          EXPECT_EQ(plan[i].task, expected[i].task);
-          EXPECT_EQ(plan[i].workers, expected[i].workers);
-          // Bitwise: the planner reads the same p̂ values.
-          EXPECT_EQ(plan[i].accuracies, expected[i].accuracies);
-        }
-        EXPECT_EQ(AssignMetrics(), expected_metrics);
-        if (multi_round && pool == nullptr && expected.size() > 1) {
-          ++nonempty_multi_round;
-        }
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " multi_round " << multi_round);
+      registry.ResetForTesting();
+      std::vector<TopWorkerSet> expected = ReferencePlan(
+          instance.state, instance.active, accuracy, multi_round);
+      std::string expected_metrics = AssignMetrics();
+      registry.ResetForTesting();
+      std::vector<TopWorkerSet> plan = planner.Plan(
+          instance.state, instance.active, row_of, multi_round);
+      ASSERT_EQ(plan.size(), expected.size());
+      for (size_t i = 0; i < plan.size(); ++i) {
+        EXPECT_EQ(plan[i].task, expected[i].task);
+        EXPECT_EQ(plan[i].workers, expected[i].workers);
+        // Bitwise: the planner reads the same p̂ values.
+        EXPECT_EQ(plan[i].accuracies, expected[i].accuracies);
       }
+      EXPECT_EQ(AssignMetrics(), expected_metrics);
+      if (multi_round && expected.size() > 1) ++nonempty_multi_round;
     }
   }
   // The generator must actually exercise multi-set, multi-round plans.
@@ -767,9 +759,7 @@ TEST(AdaptiveAssignerTest, StatsIsSafeToPollConcurrently) {
   // against the serving loop so a TSan build proves the fix.
   Dataset ds = TwoDomainDataset();
   SimilarityGraph graph = TwoCliqueGraph();
-  AdaptiveAssignerOptions options;
-  options.num_threads = 2;
-  AdaptiveAssigner assigner(&ds, MakeEstimator(graph), options);
+  AdaptiveAssigner assigner(&ds, MakeEstimator(graph));
   CampaignState state(ds.size(), 1);
   std::vector<WorkerId> workers;
   for (int i = 0; i < 4; ++i) workers.push_back(state.RegisterWorker());

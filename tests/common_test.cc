@@ -6,6 +6,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -378,32 +379,19 @@ TEST(StopwatchTest, UnitConversionsAgree) {
 
 // ----------------------------------------------------------- ThreadPool --
 
-TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
+// ThreadPool only scopes the one-shot fan-out: it cannot be built.
+static_assert(!std::is_default_constructible_v<ThreadPool>);
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
   ThreadPool::ParallelFor(hits.size(), 4,
                           [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Fewer indices than threads.
+  std::vector<std::atomic<int>> few(3);
+  ThreadPool::ParallelFor(few.size(), 8,
+                          [&](size_t i) { few[i].fetch_add(1); });
+  for (auto& h : few) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForZeroAndSingleThread) {
@@ -411,43 +399,6 @@ TEST(ThreadPoolTest, ParallelForZeroAndSingleThread) {
   int sum = 0;
   ThreadPool::ParallelFor(5, 1, [&](size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum, 10);
-}
-
-TEST(ThreadPoolTest, InstanceParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // The pool stays usable for further rounds.
-  std::atomic<int> counter{0};
-  pool.ParallelFor(3, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, InstanceParallelForWithFewerItemsThanWorkers) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, InstanceParallelForZeroCountRunsNothing) {
-  ThreadPool pool(4);
-  pool.ParallelFor(0, [](size_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, InstanceParallelForPropagatesTaskException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(100,
-                       [](size_t i) {
-                         if (i == 17) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  // A failed round neither deadlocks Wait() nor poisons the pool.
-  std::atomic<int> counter{0};
-  pool.ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ThreadPoolTest, StaticParallelForPropagatesTaskException) {
@@ -459,39 +410,15 @@ TEST(ThreadPoolTest, StaticParallelForPropagatesTaskException) {
                std::runtime_error);
 }
 
-TEST(ThreadPoolTest, WaitRethrowsSubmittedTaskExceptionWithoutDeadlock) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The error is consumed: the next Wait() is clean and tasks still run.
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, OnlyFirstExceptionIsRethrown) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  pool.Wait();  // all later errors were dropped, not queued for replay
-}
-
-TEST(ThreadPoolTest, SubmitDuringInFlightWaitIsAwaited) {
-  // A task submitted while Wait() is already blocked must finish before
-  // that Wait() returns (the simulator relies on this when a refresh task
-  // fans out follow-up work).
-  ThreadPool pool(2);
-  std::atomic<int> stage{0};
-  pool.Submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pool.Submit([&] { stage.fetch_add(10); });
-    stage.fetch_add(1);
-  });
-  pool.Wait();
-  EXPECT_EQ(stage.load(), 11);
+  // Every index throws: exactly one exception surfaces, and the next call
+  // starts clean (nothing is queued for replay).
+  EXPECT_THROW(ThreadPool::ParallelFor(
+                   8, 2, [](size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  std::atomic<int> counter{0};
+  ThreadPool::ParallelFor(10, 2, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 10);
 }
 
 // -------------------------------------------------------------- Logging --

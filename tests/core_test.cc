@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -251,23 +252,20 @@ TEST(ICrowdTest, ServeObsBindsEphemeralPortAndStaysOffFingerprint) {
       obs::HttpGet("127.0.0.1", (*served)->obs_port(), "/statusz");
   EXPECT_EQ(statusz.status, 200) << statusz.error;
   EXPECT_NE(statusz.body.find("=== icrowd statusz ==="), std::string::npos);
-  // Execution knob like num_threads: serving must not change the
-  // campaign's identity.
+  // Execution knob: serving must not change the campaign's identity.
   EXPECT_EQ((*plain)->fingerprint(), (*served)->fingerprint());
 }
 
 TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
   // The v2 config split's core guarantee: no HostConfig field enters the
   // campaign fingerprint, so a journal recorded under one execution shape
-  // (threads, shards, labels, journal layout) restores under any other.
+  // (shards, labels, journal layout) restores under any other.
   ICrowdConfig config = TinyConfig();
   auto reference = ICrowd::Create(TinyDataset(), config);
   ASSERT_TRUE(reference.ok());
 
   HostConfig host;
   host.num_shards = 8;
-  host.num_threads = 4;
-  host.pool = std::make_shared<ThreadPool>(2);
   host.campaign_label = "relabeled";
   host.journal_dir = "/tmp/elsewhere";
   host.fsync_journal = true;
@@ -282,6 +280,99 @@ TEST(ICrowdTest, HostConfigIsEntirelyOffFingerprint) {
   auto different = ICrowd::Create(TinyDataset(), config);
   ASSERT_TRUE(different.ok());
   EXPECT_NE((*reference)->fingerprint(), (*different)->fingerprint());
+}
+
+TEST(ICrowdTest, FingerprintCoversEveryDecisionField) {
+  // One row per ICrowdConfig field, sub-structs included. A decision field
+  // changes what the campaign decides, so it must change the fingerprint;
+  // the injection points and the precompute's thread count must not.
+  struct Row {
+    const char* field;
+    std::function<void(ICrowdConfig&)> perturb;
+    bool decision;
+  };
+  const Row rows[] = {
+      {"assignment_size", [](ICrowdConfig& c) { c.assignment_size = 5; },
+       true},
+      {"num_qualification", [](ICrowdConfig& c) { c.num_qualification = 3; },
+       true},
+      {"qualification_greedy",
+       [](ICrowdConfig& c) { c.qualification_greedy = false; }, true},
+      {"influence_epsilon",
+       [](ICrowdConfig& c) { c.influence_epsilon = 0.01; }, true},
+      {"graph.measure",
+       [](ICrowdConfig& c) {
+         c.graph.measure = SimilarityMeasure::kCosineTfIdf;
+       },
+       true},
+      {"graph.threshold", [](ICrowdConfig& c) { c.graph.threshold = 0.3; },
+       true},
+      {"graph.max_neighbors",
+       [](ICrowdConfig& c) { c.graph.max_neighbors = 2; }, true},
+      {"graph.lda.num_topics",
+       [](ICrowdConfig& c) { c.graph.lda.num_topics = 4; }, true},
+      {"graph.lda.alpha", [](ICrowdConfig& c) { c.graph.lda.alpha = 0.2; },
+       true},
+      {"graph.lda.beta", [](ICrowdConfig& c) { c.graph.lda.beta = 0.1; },
+       true},
+      {"graph.lda.num_iterations",
+       [](ICrowdConfig& c) { c.graph.lda.num_iterations = 150; }, true},
+      {"graph.lda.burn_in", [](ICrowdConfig& c) { c.graph.lda.burn_in = 50; },
+       true},
+      {"graph.lda.sample_lag",
+       [](ICrowdConfig& c) { c.graph.lda.sample_lag = 5; }, true},
+      {"graph.lda.seed", [](ICrowdConfig& c) { c.graph.lda.seed = 43; }, true},
+      {"estimator.ppr.alpha",
+       [](ICrowdConfig& c) { c.estimator.ppr.alpha = 0.5; }, true},
+      {"estimator.ppr.max_iterations",
+       [](ICrowdConfig& c) { c.estimator.ppr.max_iterations = 100; }, true},
+      {"estimator.ppr.tolerance",
+       [](ICrowdConfig& c) { c.estimator.ppr.tolerance = 1e-2; }, true},
+      {"estimator.ppr.prune_epsilon",
+       [](ICrowdConfig& c) { c.estimator.ppr.prune_epsilon = 1e-6; }, true},
+      {"estimator.default_accuracy",
+       [](ICrowdConfig& c) { c.estimator.default_accuracy = 0.7; }, true},
+      {"estimator.prior_strength",
+       [](ICrowdConfig& c) { c.estimator.prior_strength = 0.05; }, true},
+      {"estimator.min_mass",
+       [](ICrowdConfig& c) { c.estimator.min_mass = 1e-6; }, true},
+      {"estimator.confidence_weighting",
+       [](ICrowdConfig& c) { c.estimator.confidence_weighting = false; },
+       true},
+      {"warmup.tasks_per_worker",
+       [](ICrowdConfig& c) { c.warmup.tasks_per_worker = 1; }, true},
+      {"warmup.rejection_threshold",
+       [](ICrowdConfig& c) { c.warmup.rejection_threshold = 0.5; }, true},
+      {"warmup.eliminate_bad_workers",
+       [](ICrowdConfig& c) { c.warmup.eliminate_bad_workers = false; }, true},
+      {"activity_window_seconds",
+       [](ICrowdConfig& c) { c.activity_window_seconds = 60.0; }, true},
+      {"seed", [](ICrowdConfig& c) { c.seed = 124; }, true},
+      {"estimator.ppr.num_threads=1",
+       [](ICrowdConfig& c) { c.estimator.ppr.num_threads = 1; }, false},
+      {"estimator.ppr.num_threads=8",
+       [](ICrowdConfig& c) { c.estimator.ppr.num_threads = 8; }, false},
+      {"clock",
+       [](ICrowdConfig& c) { c.clock = std::make_shared<ManualClock>(5.0); },
+       false},
+      {"journal_sink",
+       [](ICrowdConfig& c) { c.journal_sink = std::make_shared<VectorSink>(); },
+       false},
+  };
+  auto reference = ICrowd::Create(TinyDataset(), TinyConfig());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    ICrowdConfig config = TinyConfig();
+    row.perturb(config);
+    auto perturbed = ICrowd::Create(TinyDataset(), config);
+    ASSERT_TRUE(perturbed.ok()) << perturbed.status().ToString();
+    if (row.decision) {
+      EXPECT_NE((*perturbed)->fingerprint(), (*reference)->fingerprint());
+    } else {
+      EXPECT_EQ((*perturbed)->fingerprint(), (*reference)->fingerprint());
+    }
+  }
 }
 
 TEST(ICrowdTest, FullPlatformLifecycle) {

@@ -1,144 +1,120 @@
-// End-to-end determinism of the parallel online pipeline: a full campaign
-// on the ItemCompare generator must produce bit-identical results for a
-// fixed seed at any thread count. The refresh/fan-out stages snapshot their
-// inputs and merge in index order (see DESIGN.md "Concurrency model"), so
-// num_threads only changes wall-clock, never a single answer.
+// End-to-end determinism of the one parallel loop inside a campaign: the
+// offline PPR precompute fans its seed blocks out over
+// estimator.ppr.num_threads threads, while the online path runs one thread
+// per request. A full journaled campaign on the ItemCompare generator must
+// write the same journal, snapshot and deterministic-metrics bytes at any
+// PPR thread count, and a journal recorded at one count must restore
+// under another.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/experiment.h"
+#include "core/icrowd.h"
 #include "datagen/itemcompare.h"
+#include "journal/journal.h"
 #include "obs/metrics.h"
+#include "sim/campaign_driver.h"
 
 namespace icrowd {
 namespace {
 
-struct Fixture {
-  Dataset dataset;
-  std::vector<WorkerProfile> workers;
-  SimilarityGraph graph;
-};
+constexpr size_t kNumWorkers = 12;
 
-Fixture SmallItemCompare() {
+Dataset SmallItemCompare() {
   ItemCompareOptions options;
   options.tasks_per_domain = 30;
   auto ds = GenerateItemCompare(options);
   EXPECT_TRUE(ds.ok());
-  auto workers = GenerateItemCompareWorkers(*ds);
+  return ds.MoveValueOrDie();
+}
+
+ICrowdConfig MakeConfig(uint64_t seed, size_t ppr_threads) {
   ICrowdConfig config;
-  auto graph = SimilarityGraph::Build(*ds, config.graph);
-  EXPECT_TRUE(graph.ok());
-  return {ds.MoveValueOrDie(), std::move(workers), graph.MoveValueOrDie()};
+  config.seed = seed;
+  config.estimator.ppr.num_threads = ppr_threads;
+  return config;
 }
 
-// AnswerRecord carries no operator==; compare every field explicitly so a
-// divergence names the first differing record.
-void ExpectSameAnswers(const std::vector<AnswerRecord>& a,
-                       const std::vector<AnswerRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].task, b[i].task) << "answer " << i;
-    EXPECT_EQ(a[i].worker, b[i].worker) << "answer " << i;
-    EXPECT_EQ(a[i].label, b[i].label) << "answer " << i;
-    EXPECT_EQ(a[i].time, b[i].time) << "answer " << i;
-  }
+obs::ExportOptions DeterministicExport() {
+  obs::ExportOptions options;
+  options.deterministic = true;
+  options.include_spans = false;
+  options.include_events = false;
+  return options;
 }
 
-void ExpectSameCampaign(const ExperimentResult& a, const ExperimentResult& b,
-                        const char* what) {
-  SCOPED_TRACE(what);
-  ExpectSameAnswers(a.sim.answers, b.sim.answers);
-  ExpectSameAnswers(a.sim.work_answers, b.sim.work_answers);
-  EXPECT_EQ(a.sim.consensus, b.sim.consensus);
-  EXPECT_EQ(a.sim.total_cost, b.sim.total_cost);
-  EXPECT_EQ(a.sim.qualification_cost, b.sim.qualification_cost);
-  EXPECT_EQ(a.sim.num_requests, b.sim.num_requests);
-  EXPECT_EQ(a.sim.workers_spawned, b.sim.workers_spawned);
-  EXPECT_EQ(a.sim.workers_rejected, b.sim.workers_rejected);
-  EXPECT_EQ(a.sim.completed_all, b.sim.completed_all);
-  EXPECT_EQ(a.sim.assigner.scheme_recomputations,
-            b.sim.assigner.scheme_recomputations);
-  EXPECT_EQ(a.sim.assigner.test_assignments, b.sim.assigner.test_assignments);
-  EXPECT_EQ(a.predictions, b.predictions);
-  EXPECT_EQ(a.report.overall, b.report.overall);
+struct CampaignRun {
+  std::vector<uint8_t> journal;
+  std::vector<uint8_t> snapshot;
+  std::vector<Label> results;
+  std::string det_metrics;
+};
+
+/// One journaled campaign driven to completion through the platform API.
+CampaignRun RunCampaign(uint64_t seed, size_t ppr_threads) {
+  obs::MetricsRegistry::Global().ResetForTesting();
+  Dataset dataset = SmallItemCompare();
+  std::vector<WorkerProfile> profiles = GenerateItemCompareWorkers(dataset);
+  ICrowdConfig config = MakeConfig(seed, ppr_threads);
+  auto sink = std::make_shared<VectorSink>();
+  config.journal_sink = sink;
+  auto system = ICrowd::Create(std::move(dataset), config).MoveValueOrDie();
+  CampaignDriverOptions options;
+  options.seed = seed;
+  auto outcome = DriveCampaign(system.get(), profiles, kNumWorkers, options);
+  EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome.ok() && outcome->finished);
+  CampaignRun run;
+  run.journal = sink->bytes();
+  run.snapshot = system->Snapshot().MoveValueOrDie();
+  run.results = system->Results();
+  run.det_metrics =
+      obs::MetricsRegistry::Global().ExportJsonlString(DeterministicExport());
+  return run;
 }
 
 class DeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DeterminismTest, ThreadCountNeverChangesCampaignResults) {
-  Fixture fx = SmallItemCompare();
-  ICrowdConfig config;
-  config.seed = GetParam();
-  HostConfig host;
-
-  host.num_threads = 1;
-  auto serial = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kAdapt, host);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_FALSE(serial->sim.answers.empty());
-
+  CampaignRun serial = RunCampaign(GetParam(), 1);
+  ASSERT_FALSE(serial.results.empty());
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    host.num_threads = threads;
-    auto parallel = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                                  StrategyKind::kAdapt, host);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectSameCampaign(*serial, *parallel,
-                       threads == 2 ? "2 threads vs serial"
-                                    : "8 threads vs serial");
+    SCOPED_TRACE(std::to_string(threads) + " PPR threads vs 1");
+    CampaignRun parallel = RunCampaign(GetParam(), threads);
+    EXPECT_EQ(serial.journal, parallel.journal);
+    EXPECT_EQ(serial.snapshot, parallel.snapshot);
+    EXPECT_EQ(serial.results, parallel.results);
   }
 }
 
 TEST_P(DeterminismTest, MetricDumpsAreBitIdenticalAcrossThreadCounts) {
-  // The observability layer must honor the same contract as the pipeline:
-  // a deterministic metric dump (counters, histograms, trajectory events —
-  // everything registered deterministic) is the same bytes whether the
-  // campaign ran on 1 thread or 8. Doubles are accumulated fixed-point, so
-  // shard merges are integer sums; spans and timing metrics are excluded
-  // from the deterministic export.
-  Fixture fx = SmallItemCompare();
-  ICrowdConfig config;
-  config.seed = GetParam();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-
-  auto run_and_dump = [&](size_t threads) {
-    registry.ResetForTesting();
-    HostConfig host;
-    host.num_threads = threads;
-    auto result = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                                StrategyKind::kAdapt, host);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return registry.ExportJsonlString({/*deterministic=*/true});
-  };
-
-  std::string serial = run_and_dump(1);
-  std::string parallel = run_and_dump(8);
-  registry.ResetForTesting();
+  // The observability layer honors the same contract: a deterministic dump
+  // (counters, histograms — everything registered deterministic) is the
+  // same bytes whichever PPR thread count built the campaign. Doubles are
+  // accumulated fixed-point, so shard merges are integer sums.
+  std::string serial = RunCampaign(GetParam(), 1).det_metrics;
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel)
-      << "deterministic metric export depends on thread count";
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    EXPECT_EQ(serial, RunCampaign(GetParam(), threads).det_metrics)
+        << "deterministic metric export depends on PPR thread count "
+        << threads;
+  }
+  obs::MetricsRegistry::Global().ResetForTesting();
 }
 
-TEST_P(DeterminismTest, SharedPoolMatchesPerAssignerPool) {
-  // A pool handed in via config (spawned once per process) must behave
-  // exactly like the per-assigner pool the factory otherwise creates.
-  Fixture fx = SmallItemCompare();
-  ICrowdConfig config;
-  config.seed = GetParam();
-  HostConfig host;
-  host.num_threads = 4;
-
-  auto owned = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                             StrategyKind::kAdapt, host);
-  ASSERT_TRUE(owned.ok());
-
-  host.pool = std::make_shared<ThreadPool>(4);
-  auto shared = RunExperiment(fx.dataset, fx.workers, fx.graph, config,
-                              StrategyKind::kAdapt, host);
-  ASSERT_TRUE(shared.ok());
-  ExpectSameCampaign(*owned, *shared, "shared pool vs owned pool");
+TEST_P(DeterminismTest, JournalRecordedAtOnePprThreadRestoresUnderEight) {
+  // The fingerprint leaves ppr.num_threads out, so recovery may change it.
+  CampaignRun live = RunCampaign(GetParam(), 1);
+  auto restored = ICrowd::Restore(SmallItemCompare(),
+                                  MakeConfig(GetParam(), 8), {}, live.journal);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->Results(), live.results);
+  auto snapshot = (*restored)->Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(*snapshot, live.snapshot);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,

@@ -1,6 +1,6 @@
 // Batch-invariance property suite for the ingest pipeline (DESIGN.md §12):
 // applying a recorded event stream through the batched API — at ANY batch
-// size and thread count — must be bit-identical to per-event execution:
+// size — must be bit-identical to per-event execution:
 // same assignments, same accuracy estimates, same journal bytes, same
 // deterministic metrics. Plus unit tests for the bounded queue
 // (backpressure, drain-on-shutdown, multi-consumer) and the async
@@ -47,12 +47,6 @@ ICrowdConfig MakeConfig(uint64_t seed) {
   return config;
 }
 
-HostConfig MakeHost(size_t threads) {
-  HostConfig host;
-  host.num_threads = threads;
-  return host;
-}
-
 obs::ExportOptions DeterministicExport() {
   obs::ExportOptions options;
   options.deterministic = true;
@@ -88,7 +82,7 @@ struct RunCapture {
 /// The per-event reference: a driven campaign through the one-at-a-time
 /// calls. Its journal doubles as the canonical event stream the batched
 /// reruns consume.
-RunCapture RunPerEvent(uint64_t seed, size_t threads, int leave_after = 0) {
+RunCapture RunPerEvent(uint64_t seed, int leave_after = 0) {
   obs::MetricsRegistry::Global().ResetForTesting();
   Dataset dataset = MakeDataset();
   std::vector<WorkerProfile> profiles =
@@ -96,8 +90,7 @@ RunCapture RunPerEvent(uint64_t seed, size_t threads, int leave_after = 0) {
   ICrowdConfig config = MakeConfig(seed);
   auto sink = std::make_shared<VectorSink>();
   config.journal_sink = sink;
-  auto system = ICrowd::Create(std::move(dataset), config, MakeHost(threads))
-                    .MoveValueOrDie();
+  auto system = ICrowd::Create(std::move(dataset), config).MoveValueOrDie();
   CampaignDriverOptions options;
   options.seed = seed;
   options.leave_after = leave_after;
@@ -126,13 +119,12 @@ std::vector<IngestEvent> StreamOf(const RunCapture& reference) {
 /// Re-applies `stream` on a fresh campaign through SubmitEvent + Drain in
 /// chunks of `batch_size` (0 = the whole stream as one batch).
 RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
-                      size_t threads, size_t batch_size) {
+                      size_t batch_size) {
   obs::MetricsRegistry::Global().ResetForTesting();
   ICrowdConfig config = MakeConfig(seed);
   auto sink = std::make_shared<VectorSink>();
   config.journal_sink = sink;
-  auto system = ICrowd::Create(MakeDataset(), config, MakeHost(threads))
-                    .MoveValueOrDie();
+  auto system = ICrowd::Create(MakeDataset(), config).MoveValueOrDie();
   if (batch_size == 0) batch_size = stream.size() + 1;
   size_t applied = 0;
   for (size_t start = 0; start < stream.size(); start += batch_size) {
@@ -167,36 +159,33 @@ TEST(IngestInvarianceTest, AnyBatchSizeIsBitIdenticalToPerEvent) {
   for (uint64_t seed : {11u, 77u}) {
     // leave_after puts kWorkerLeft events in the stream for one seed.
     int leave_after = seed == 77u ? 20 : 0;
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      RunCapture reference = RunPerEvent(seed, threads, leave_after);
-      std::vector<IngestEvent> stream = StreamOf(reference);
-      ASSERT_FALSE(stream.empty());
-      // 0 = the whole stream in a single batch.
-      for (size_t batch_size : {size_t{1}, size_t{2}, size_t{7}, size_t{64},
-                                size_t{0}}) {
-        std::string tag = "seed" + std::to_string(seed) + "_t" +
-                          std::to_string(threads) + "_b" +
-                          std::to_string(batch_size);
-        RunCapture batched = RunBatched(stream, seed, threads, batch_size);
-        EXPECT_EQ(batched.journal, reference.journal) << tag;
-        EXPECT_EQ(batched.results, reference.results) << tag;
-        EXPECT_EQ(batched.accuracies, reference.accuracies) << tag;
-        EXPECT_EQ(batched.events, reference.events) << tag;
-        EXPECT_EQ(batched.det_metrics, reference.det_metrics) << tag;
-        EXPECT_EQ(batched.finished, reference.finished) << tag;
-        if (HasFailure()) return;
-      }
+    RunCapture reference = RunPerEvent(seed, leave_after);
+    std::vector<IngestEvent> stream = StreamOf(reference);
+    ASSERT_FALSE(stream.empty());
+    // 0 = the whole stream in a single batch.
+    for (size_t batch_size : {size_t{1}, size_t{2}, size_t{7}, size_t{64},
+                              size_t{0}}) {
+      std::string tag = "seed" + std::to_string(seed) + "_b" +
+                        std::to_string(batch_size);
+      RunCapture batched = RunBatched(stream, seed, batch_size);
+      EXPECT_EQ(batched.journal, reference.journal) << tag;
+      EXPECT_EQ(batched.results, reference.results) << tag;
+      EXPECT_EQ(batched.accuracies, reference.accuracies) << tag;
+      EXPECT_EQ(batched.events, reference.events) << tag;
+      EXPECT_EQ(batched.det_metrics, reference.det_metrics) << tag;
+      EXPECT_EQ(batched.finished, reference.finished) << tag;
+      if (HasFailure()) return;
     }
   }
 }
 
 TEST(IngestInvarianceTest, GroupCommitFlushesOncePerBatchForSameBytes) {
-  RunCapture reference = RunPerEvent(11, 1);
+  RunCapture reference = RunPerEvent(11);
   std::vector<IngestEvent> stream = StreamOf(reference);
   // Per-event execution flushes once per answer (plus the begin record);
   // one whole-stream batch flushes once. Bytes must not care.
   obs::MetricsRegistry::Global().ResetForTesting();
-  RunCapture batched = RunBatched(stream, 11, 1, /*batch_size=*/0);
+  RunCapture batched = RunBatched(stream, 11, /*batch_size=*/0);
   EXPECT_EQ(batched.journal, reference.journal);
   uint64_t flushes =
       obs::MetricsRegistry::Global().CounterValue("icrowd.journal.flushes");
@@ -356,7 +345,7 @@ TEST(BoundedEventQueueTest, MultiConsumerDrainsEveryEventOnce) {
 // --------------------------------------------------------- async ingestor --
 
 TEST(BatchIngestorTest, AsyncIngestMatchesPerEventReference) {
-  RunCapture reference = RunPerEvent(11, 1);
+  RunCapture reference = RunPerEvent(11);
   std::vector<IngestEvent> stream = StreamOf(reference);
   obs::MetricsRegistry::Global().ResetForTesting();
   ICrowdConfig config = MakeConfig(11);

@@ -79,10 +79,16 @@ TEST(CounterTest, KindMismatchYieldsInertHandle) {
 }
 
 TEST(CounterTest, MergesAcrossPoolThreads) {
+  // A fixed set of long-lived threads, each recording many times.
   MetricsRegistry registry;
   Counter c = registry.GetCounter("test.parallel");
-  ThreadPool pool(4);
-  pool.ParallelFor(1000, [&](size_t) { c.Increment(); });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 250; ++i) c.Increment();
+    });
+  }
+  for (std::thread& t : threads) t.join();
   EXPECT_EQ(c.Value(), 1000u);
 }
 
@@ -157,8 +163,7 @@ TEST(HistogramTest, BoundsAreSortedAndDeduped) {
 TEST(HistogramTest, MergesAcrossShards) {
   MetricsRegistry registry;
   Histogram h = registry.GetHistogram("test.hist", {10.0, 100.0});
-  ThreadPool pool(4);
-  pool.ParallelFor(300, [&](size_t i) {
+  ThreadPool::ParallelFor(300, 4, [&](size_t i) {
     h.Observe(static_cast<double>(i % 3) * 60.0);  // 0, 60, 120
   });
   HistogramSnapshot snap = registry.HistogramValue("test.hist");
@@ -260,8 +265,7 @@ TEST(ExportTest, IdenticalWorkloadsExportIdenticalDumps) {
       h.Observe(0.1 * static_cast<double>(i % 50));
     };
     if (parallel) {
-      ThreadPool pool(4);
-      pool.ParallelFor(500, body);
+      ThreadPool::ParallelFor(500, 4, body);
     } else {
       for (size_t i = 0; i < 500; ++i) body(i);
     }

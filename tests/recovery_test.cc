@@ -52,12 +52,6 @@ ICrowdConfig MakeConfig(uint64_t seed) {
   return config;
 }
 
-HostConfig MakeHost(size_t threads) {
-  HostConfig host;
-  host.num_threads = threads;
-  return host;
-}
-
 obs::ExportOptions DeterministicExport() {
   obs::ExportOptions options;
   options.deterministic = true;
@@ -77,16 +71,14 @@ struct LiveRun {
 
 /// One uninterrupted journaled campaign: the reference run every recovery
 /// scenario is compared against.
-LiveRun RunLive(uint64_t seed, size_t threads, int snapshot_every = 0,
-                int leave_after = 0) {
+LiveRun RunLive(uint64_t seed, int snapshot_every = 0, int leave_after = 0) {
   obs::MetricsRegistry::Global().ResetForTesting();
   Dataset dataset = MakeDataset();
   std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
   ICrowdConfig config = MakeConfig(seed);
   auto sink = std::make_shared<VectorSink>();
   config.journal_sink = sink;
-  auto system = ICrowd::Create(std::move(dataset), config, MakeHost(threads))
-                    .MoveValueOrDie();
+  auto system = ICrowd::Create(std::move(dataset), config).MoveValueOrDie();
   CampaignDriverOptions options;
   options.seed = seed;
   options.snapshot_every = snapshot_every;
@@ -133,8 +125,7 @@ void DumpOnFailure(const std::vector<uint8_t>& journal,
 TEST(RecoveryTest, FullReplayIsBitIdenticalToLive) {
   for (uint64_t seed : {11u, 77u}) {
     // leave_after exercises kWorkerLeft records in the stream.
-    LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/0,
-                           /*leave_after=*/20);
+    LiveRun live = RunLive(seed, /*snapshot_every=*/0, /*leave_after=*/20);
     obs::MetricsRegistry::Global().ResetForTesting();
     auto restored =
         ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, live.journal);
@@ -157,44 +148,40 @@ TEST(RecoveryTest, FullReplayIsBitIdenticalToLive) {
 
 TEST(RecoveryTest, KillAtAnyOffsetRecoversBitIdentical) {
   for (uint64_t seed : {11u, 77u}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      LiveRun live = RunLive(seed, threads);
-      ASSERT_TRUE(live.finished);
-      auto parsed = ReadJournal(live.journal);
-      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-      const std::vector<JournalEvent>& events = parsed->events;
-      FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
-      ASSERT_FALSE(scan.frames.empty());
-      // Restore needs at least the campaign-begin frame; past that, every
-      // truncation point must recover. The prime stride hits mid-header,
-      // mid-payload and boundary phases across the sweep.
-      size_t min_offset = scan.frames[0].first + scan.frames[0].second;
-      for (size_t offset = min_offset; offset <= live.journal.size();
-           offset += 199) {
-        std::string tag = "kill_seed" + std::to_string(seed) + "_t" +
-                          std::to_string(threads) + "_off" +
-                          std::to_string(offset);
-        std::vector<uint8_t> prefix(
-            live.journal.begin(),
-            live.journal.begin() + static_cast<long>(offset));
-        auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(seed), {},
-                                        prefix, MakeHost(threads));
-        ASSERT_TRUE(restored.ok())
-            << tag << ": " << restored.status().ToString();
-        std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
-        // Finish the reference run: feed the journal tail back through the
-        // public API, verifying each re-derived decision against the
-        // journal on the way.
-        Status redriven = RedriveJournalTail(
-            system.get(), events,
-            static_cast<size_t>(system->events_applied()));
-        EXPECT_TRUE(redriven.ok()) << tag << ": " << redriven.ToString();
-        EXPECT_EQ(system->Results(), live.results) << tag;
-        EXPECT_EQ(system->events_applied(), live.events) << tag;
-        if (HasFailure()) {
-          DumpOnFailure(live.journal, tag);
-          return;
-        }
+    LiveRun live = RunLive(seed);
+    ASSERT_TRUE(live.finished);
+    auto parsed = ReadJournal(live.journal);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const std::vector<JournalEvent>& events = parsed->events;
+    FrameScan scan = ScanFrames(live.journal.data(), live.journal.size());
+    ASSERT_FALSE(scan.frames.empty());
+    // Restore needs at least the campaign-begin frame; past that, every
+    // truncation point must recover. The prime stride hits mid-header,
+    // mid-payload and boundary phases across the sweep.
+    size_t min_offset = scan.frames[0].first + scan.frames[0].second;
+    for (size_t offset = min_offset; offset <= live.journal.size();
+         offset += 199) {
+      std::string tag =
+          "kill_seed" + std::to_string(seed) + "_off" + std::to_string(offset);
+      std::vector<uint8_t> prefix(
+          live.journal.begin(),
+          live.journal.begin() + static_cast<long>(offset));
+      auto restored =
+          ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, prefix);
+      ASSERT_TRUE(restored.ok())
+          << tag << ": " << restored.status().ToString();
+      std::unique_ptr<ICrowd> system = restored.MoveValueOrDie();
+      // Finish the reference run: feed the journal tail back through the
+      // public API, verifying each re-derived decision against the journal
+      // on the way.
+      Status redriven = RedriveJournalTail(
+          system.get(), events, static_cast<size_t>(system->events_applied()));
+      EXPECT_TRUE(redriven.ok()) << tag << ": " << redriven.ToString();
+      EXPECT_EQ(system->Results(), live.results) << tag;
+      EXPECT_EQ(system->events_applied(), live.events) << tag;
+      if (HasFailure()) {
+        DumpOnFailure(live.journal, tag);
+        return;
       }
     }
   }
@@ -209,7 +196,7 @@ TEST(RecoveryTest, KillMidBatchRecoversThroughBatchedReingest) {
   // re-ingest of the lost tail must converge on the per-event reference —
   // including re-writing, byte for byte, the journal suffix the crash ate.
   for (uint64_t seed : {11u, 77u}) {
-    LiveRun live = RunLive(seed, /*threads=*/1);
+    LiveRun live = RunLive(seed);
     ASSERT_TRUE(live.finished);
     auto parsed = ReadJournal(live.journal);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -277,7 +264,7 @@ TEST(RecoveryTest, KillMidBatchRecoversThroughBatchedReingest) {
 
 TEST(RecoveryTest, EverySnapshotPlusTailMatchesLive) {
   const uint64_t seed = 11;
-  LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/7);
+  LiveRun live = RunLive(seed, /*snapshot_every=*/7);
   ASSERT_FALSE(live.snapshots.empty());
   for (const CapturedSnapshot& snapshot : live.snapshots) {
     auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(seed),
@@ -293,7 +280,7 @@ TEST(RecoveryTest, EverySnapshotPlusTailMatchesLive) {
 
 TEST(RecoveryTest, SnapshotNewerThanJournalTailReplaysNothing) {
   const uint64_t seed = 11;
-  LiveRun live = RunLive(seed, /*threads=*/1, /*snapshot_every=*/7);
+  LiveRun live = RunLive(seed, /*snapshot_every=*/7);
   ASSERT_FALSE(live.snapshots.empty());
   const CapturedSnapshot& snapshot = live.snapshots.back();
   // The persisted journal lost its tail (e.g. a lagging replica), leaving
@@ -324,7 +311,7 @@ TEST(RecoveryTest, SnapshotNewerThanJournalTailReplaysNothing) {
 
 TEST(RecoveryTest, TornFinalRecordIsDroppedAndRederived) {
   const uint64_t seed = 77;
-  LiveRun live = RunLive(seed, /*threads=*/1);
+  LiveRun live = RunLive(seed);
   // Garbage after the last intact frame (the classic mid-append crash).
   std::vector<uint8_t> torn = live.journal;
   torn.insert(torn.end(), {0x07, 0x00, 0x00});
@@ -354,7 +341,7 @@ TEST(RecoveryTest, TornFinalRecordIsDroppedAndRederived) {
 
 TEST(RecoveryTest, SinkFailureMidRunPoisonsAndRecovers) {
   const uint64_t seed = 11;
-  LiveRun reference = RunLive(seed, /*threads=*/1);
+  LiveRun reference = RunLive(seed);
   ASSERT_GT(reference.journal.size(), 100u);
   for (double fraction : {0.25, 0.5, 0.8}) {
     // +3 lands the budget mid-frame: the append is torn, exactly like a
@@ -408,25 +395,6 @@ TEST(RecoveryTest, SinkFailureMidRunPoisonsAndRecovers) {
   }
 }
 
-// ------------------------------------------------- thread-count invariance --
-
-TEST(RecoveryTest, JournalBytesIdenticalAcrossThreadCounts) {
-  LiveRun serial = RunLive(11, /*threads=*/1);
-  LiveRun parallel = RunLive(11, /*threads=*/8);
-  // The journal is part of the determinism contract: the bytes written at
-  // 8 threads are the bytes written at 1.
-  EXPECT_EQ(serial.journal, parallel.journal);
-  EXPECT_EQ(serial.results, parallel.results);
-  EXPECT_EQ(serial.det_metrics, parallel.det_metrics);
-  // And recovery may change the thread count: the fingerprint deliberately
-  // excludes it, so a 1-thread journal restores under an 8-thread config.
-  auto restored = ICrowd::Restore(MakeDataset(), MakeConfig(11), {},
-                                  serial.journal, MakeHost(8));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ((*restored)->Results(), serial.results);
-  if (HasFailure()) DumpOnFailure(serial.journal, "thread_invariance");
-}
-
 // -------------------------------------------------- mismatches and misuse --
 
 TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
@@ -447,6 +415,22 @@ TEST(RecoveryTest, RestoreRejectsMismatchedCampaign) {
   // Nothing to restore from.
   EXPECT_FALSE(ICrowd::Restore(MakeDataset(), MakeConfig(seed), {}, {})
                    .ok());
+}
+
+TEST(RecoveryTest, RestoreUnderDifferentPprToleranceIsRefused) {
+  // The tolerance changes the seed vectors and so p̂: a journal recorded at
+  // the defaults must be refused before any replay, not replayed against
+  // different estimates.
+  const uint64_t seed = 11;
+  LiveRun live = RunLive(seed);
+  ICrowdConfig loose = MakeConfig(seed);
+  loose.estimator.ppr.tolerance = 1e-2;
+  auto restored = ICrowd::Restore(MakeDataset(), loose, {}, live.journal);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(restored.status().ToString().find("different campaign"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 // ---------------------------------------------- corrupted snapshot fields --
@@ -488,8 +472,7 @@ class CorruptSnapshotTest : public ::testing::Test {
     Dataset dataset = MakeDataset();
     num_tasks_ = dataset.size();
     std::vector<WorkerProfile> profiles = MakeProfiles(dataset);
-    auto system = ICrowd::Create(std::move(dataset), MakeConfig(kSeed),
-                                 MakeHost(1))
+    auto system = ICrowd::Create(std::move(dataset), MakeConfig(kSeed))
                       .MoveValueOrDie();
     CampaignDriverOptions options;
     options.seed = kSeed;
@@ -686,7 +669,7 @@ TEST_F(CorruptSnapshotTest, HoldingTaskOutOfRangeIsRejected) {
 
 TEST(RecoveryTest, ResumeThenContinueMatchesUninterruptedMetrics) {
   const uint64_t seed = 77;
-  LiveRun live = RunLive(seed, /*threads=*/1);
+  LiveRun live = RunLive(seed);
   auto full = ReadJournal(live.journal);
   ASSERT_TRUE(full.ok());
   size_t offset = live.journal.size() * 2 / 3 + 1;  // mid-frame somewhere

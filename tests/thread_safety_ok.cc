@@ -34,7 +34,7 @@ class Ledger {
     while (balance_ < target) changed_.Wait(lock);
   }
 
-  // Manual Unlock/Lock on the scoped guard, as ThreadPool::Wait does.
+  // Manual Unlock/Lock on the scoped guard, as the Watchdog does.
   int DrainAndAudit() ICROWD_EXCLUDES(mu_) {
     icrowd::MutexLock lock(mu_);
     int drained = balance_;

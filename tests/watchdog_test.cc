@@ -181,7 +181,7 @@ TEST(WatchdogTest, IdleHeartbeatNeverTrips) {
   HeartbeatRegistry registry;
   ManualClock clock(0.0);
   registry.SetClock(&clock);
-  Heartbeat* parked = registry.Register("pool.worker");
+  Heartbeat* parked = registry.Register("host.shard");
   parked->MarkIdle();
 
   TripLog log;
