@@ -16,7 +16,7 @@ std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
 
 /// Guards sink installation and emission. Logging is cold by design (hot
 /// paths use metrics, not log lines), so one mutex is fine and keeps
-/// interleaved lines whole. Level 5 in tools/lock_order.txt: held while
+/// interleaved lines whole. Level 7 in tools/lock_order.txt: held while
 /// the installed sink runs, so a sink may take its own (lower) lock — the
 /// CaptureLogs state mutex — but must never call back into logging.
 Mutex g_log_mutex;

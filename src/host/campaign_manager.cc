@@ -1,10 +1,12 @@
 #include "host/campaign_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "journal/journal.h"
 #include "obs/heartbeat.h"
 #include "obs/http/http_server.h"
@@ -36,6 +38,35 @@ const obs::Counter& AbandonedCounter() {
           "icrowd.host.events_abandoned",
           {false, "queued events settled unapplied after a campaign failed"});
   return counter;
+}
+
+// Per-stage latency attribution (DESIGN.md §14): queue wait and apply
+// here, journal flush inside JournalWriter. The statusz glossary and the
+// /metricsz consumers key on these names.
+const obs::Histogram& QueueWaitHistogram() {
+  static const obs::Histogram histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "icrowd.ingest.queue_wait_seconds",
+          obs::ExponentialBuckets(1e-6, 4, 12),
+          {false, "enqueue-to-dequeue latency per ingest event"});
+  return histogram;
+}
+
+const obs::Histogram& ApplyHistogram() {
+  static const obs::Histogram histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "icrowd.ingest.apply_seconds",
+          obs::ExponentialBuckets(1e-6, 4, 12),
+          {false, "ApplyEventBatch duration per applied campaign slice"});
+  return histogram;
+}
+
+/// Steady-clock nanoseconds, the clock BoundedEventQueue::Push stamps
+/// IngestEvent::enqueue_ns with.
+int64_t SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 const obs::Counter& OrphanedCounter() {
@@ -459,8 +490,10 @@ int CampaignManager::obs_port() const {
 
 void CampaignManager::RunShard(size_t shard_index) {
   Shard* shard = shards_[shard_index].get();
-  // Same liveness contract as the single-campaign ingest consumer; the
-  // registry dedupes the name per shard thread ("host.shard#2", ...).
+  // Watchdog liveness contract (DESIGN.md §14): idle while parked on the
+  // queue, busy from dequeue to settle. This thread applies and flushes
+  // every journal on the shard, so a hung apply or fsync goes busy-stale
+  // here. The registry dedupes the name per shard ("host.shard#2", ...).
   obs::ScopedHeartbeat heartbeat("host.shard");
   std::vector<IngestEvent> batch;
   // Per-campaign slices regrouped from one popped batch, in order of
@@ -472,6 +505,11 @@ void CampaignManager::RunShard(size_t shard_index) {
     size_t n = shard->queue->PopBatch(&batch, host_.max_batch);
     if (n == 0) break;  // closed and drained
     heartbeat->MarkBusy();
+    const int64_t dequeued_ns = SteadyNanos();
+    for (const IngestEvent& event : batch) {
+      QueueWaitHistogram().Observe(
+          static_cast<double>(dequeued_ns - event.enqueue_ns) * 1e-9);
+    }
     // Regroup by route. Within one campaign the slice preserves queue
     // (i.e. submission) order; only events of different campaigns
     // reorder relative to each other, which is unobservable — campaigns
@@ -518,7 +556,9 @@ void CampaignManager::ApplyCampaignSlice(
     // never acked for them, settle without touching the campaign.
     AbandonedCounter().Increment(events.size());
   } else {
+    Stopwatch apply;
     auto outcomes = campaign->system->ApplyEventBatch(events);
+    ApplyHistogram().Observe(apply.ElapsedSeconds());
     if (!outcomes.ok()) failure = outcomes.status();
     ShardBatchCounter().Increment();
   }

@@ -40,6 +40,8 @@ class ObsServer;
 /// the only mutator — and a hosted campaign's journal, results and
 /// deterministic metrics are bit-identical to the same event stream run
 /// through a solo ICrowd (tests/host_test.cc enforces this isolation).
+/// The shard loop is the library's only asynchronous event consumer: a
+/// single campaign fed from another thread is a 1-shard host.
 ///
 /// Journal placement: with HostConfig::journal_dir set, each campaign
 /// journals to `<journal_dir>/shard-<s>/<name>.journal` (directories are
@@ -176,7 +178,7 @@ class CampaignManager {
 
   /// One shard: the queue feeding its consumer thread plus the settle
   /// ledger every hosted campaign on it shares. shard_mu_ ranks between
-  /// manager_mu_ and BatchIngestor::mu_ in tools/lock_order.txt; it is
+  /// manager_mu_ and BoundedEventQueue::mu_ in tools/lock_order.txt; it is
   /// never held across a queue call or a campaign apply.
   struct Shard {
     explicit Shard(size_t capacity);

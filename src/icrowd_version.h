@@ -28,7 +28,12 @@
 // RunExperiment are gone (breaking). The campaign fingerprint now hashes
 // every decision field (graph build, LDA, PPR iteration cap, tolerance and
 // prune epsilon), so journals and snapshots from 3.x are refused.
-#define ICROWD_API_VERSION_MAJOR 4
+// 5.0: one asynchronous event consumer, the CampaignManager shard loop.
+// The standalone batch-ingest thread class with its options, and the
+// facade's SubmitEvent/Drain event buffer, are gone (breaking);
+// ApplyEventBatch is the facade's batch entry point, and a single
+// campaign fed from another thread is a 1-shard host.
+#define ICROWD_API_VERSION_MAJOR 5
 #define ICROWD_API_VERSION_MINOR 0
 #define ICROWD_API_VERSION \
   (ICROWD_API_VERSION_MAJOR * 1000 + ICROWD_API_VERSION_MINOR)

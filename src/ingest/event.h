@@ -39,7 +39,8 @@ struct IngestEvent {
   TaskId task = -1;
   Label answer = kNoLabel;
   /// Steady-clock nanoseconds stamped by BoundedEventQueue::Push, read by
-  /// the consumer to attribute queue-wait latency (DESIGN.md §14). Purely
+  /// the CampaignManager shard loop to observe
+  /// icrowd.ingest.queue_wait_seconds (DESIGN.md §14). Purely
   /// in-memory plumbing: never journaled, never part of event identity —
   /// the batch-invariance contract sees four fields, not five (or six).
   int64_t enqueue_ns = 0;

@@ -6,7 +6,6 @@
 #include "common/binary_io.h"
 #include "common/stopwatch.h"
 #include "io/framing.h"
-#include "obs/heartbeat.h"
 #include "obs/metrics.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -210,13 +209,7 @@ Status FaultInjectingSink::Flush() {
 // ----------------------------------------------------------------- writer --
 
 JournalWriter::JournalWriter(std::shared_ptr<JournalSink> sink)
-    : sink_(std::move(sink)),
-      heartbeat_(obs::HeartbeatRegistry::Global().Register("journal.flush")) {
-}
-
-JournalWriter::~JournalWriter() {
-  obs::HeartbeatRegistry::Global().Unregister(heartbeat_);
-}
+    : sink_(std::move(sink)) {}
 
 Status JournalWriter::Append(const JournalEvent& event) {
   std::vector<uint8_t> payload = EncodeJournalEvent(event);
@@ -233,13 +226,12 @@ Status JournalWriter::Append(const JournalEvent& event) {
 Status JournalWriter::Flush() {
   ++flushes_;
   FlushCounter().Increment();
-  // Busy exactly for the sink flush (the stage that can wedge on a hung
-  // disk); timed for the per-stage latency attribution.
-  heartbeat_->MarkBusy();
+  // Timed for the per-stage latency attribution. Liveness is not watched
+  // here: the thread that applies events also flushes them, so a hung
+  // fsync shows up as that thread's stale busy heartbeat (DESIGN.md §14).
   Stopwatch flush_time;
   Status flushed = sink_->Flush();
   FlushSecondsHistogram().Observe(flush_time.ElapsedSeconds());
-  heartbeat_->MarkIdle();
   return flushed;
 }
 

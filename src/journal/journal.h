@@ -12,10 +12,6 @@
 
 namespace icrowd {
 
-namespace obs {
-class Heartbeat;
-}  // namespace obs
-
 /// Write-ahead event journal for durable campaigns (DESIGN.md §11). The
 /// ICrowd facade appends one record per mutating platform callback *before*
 /// touching canonical state; recovery is snapshot + tail-replay of these
@@ -147,15 +143,14 @@ class FaultInjectingSink : public JournalSink {
 /// journal-overhead metrics.
 ///
 /// Threading contract: deliberately lock-free because it is single-writer
-/// by construction — only the campaign's apply stage (the ingest consumer
-/// thread, or the owner thread on the unbatched path) ever appends, and
-/// the accessors are only meaningful between batches (after Flush/Drain),
-/// the same quiescent points at which reading the campaign is allowed.
+/// by construction — only the campaign's apply stage (a host shard
+/// thread, or the owner thread of a solo facade) ever appends, and the
+/// accessors are only meaningful between batches, the same quiescent
+/// points at which reading the campaign is allowed.
 /// Adding a mutex here would serialize nothing and hide misuse from TSan.
 class JournalWriter {
  public:
   explicit JournalWriter(std::shared_ptr<JournalSink> sink);
-  ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
@@ -174,11 +169,6 @@ class JournalWriter {
   uint64_t events_ = 0;
   uint64_t bytes_ = 0;
   uint64_t flushes_ = 0;
-  /// Watchdog check-in for the single writer thread: busy only inside
-  /// sink_->Flush(), so a wedged fsync (hung disk, full volume) shows up
-  /// as a stalled-busy "journal.flush" heartbeat. Plain pointer — same
-  /// single-writer contract as every other member.
-  obs::Heartbeat* heartbeat_ = nullptr;
 };
 
 struct JournalParse {

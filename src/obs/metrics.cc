@@ -177,7 +177,7 @@ double HistogramSnapshot::Percentile(double q) const {
 struct MetricsRegistry::Shard {
   Shard() : cells(kShardCells) {}
   std::vector<std::atomic<int64_t>> cells;
-  /// Level 10 in tools/lock_order.txt: the innermost lock — may be taken
+  /// Level 13 in tools/lock_order.txt: the innermost lock — may be taken
   /// while holding the registry mutex_, never the other way around.
   mutable Mutex span_mutex;
   std::vector<SpanRecord> spans ICROWD_GUARDED_BY(span_mutex);

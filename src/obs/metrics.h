@@ -295,8 +295,8 @@ class MetricsRegistry {
 
   const uint64_t id_;  // process-unique, guards stale thread-local caches
   std::atomic<bool> enabled_{true};
-  /// Registration/snapshot mutex, level 9 in tools/lock_order.txt: may be
-  /// held while taking a shard's span_mutex (level 10), never the reverse.
+  /// Registration/snapshot mutex, level 12 in tools/lock_order.txt: may be
+  /// held while taking a shard's span_mutex (level 13), never the reverse.
   mutable Mutex mutex_;
   std::vector<MetricInfo> metrics_ ICROWD_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<Shard>> shards_ ICROWD_GUARDED_BY(mutex_);

@@ -69,9 +69,9 @@ std::string EscapeJson(const std::string& s) {
 /// rather than whatever happens to be registered — is what keeps the
 /// output byte-stable across builds and runs.
 constexpr const char* kCounters[] = {
-    "icrowd.ingest.batches",
-    "icrowd.ingest.events_applied",
-    "icrowd.ingest.events_abandoned",
+    "icrowd.host.events_routed",
+    "icrowd.host.batches",
+    "icrowd.host.events_abandoned",
     "icrowd.ingest.backpressure_waits",
     "icrowd.journal.appends",
     "icrowd.journal.append_bytes",
@@ -85,14 +85,12 @@ constexpr const char* kGauges[] = {
     "icrowd.ingest.queue_depth",
 };
 
-/// Per-stage latency attribution, in pipeline order: queue wait → batch
-/// assembly → apply → journal flush, plus the batch-size shape.
+/// Per-stage latency attribution, in pipeline order: queue wait → apply
+/// (both observed by the host shard loop) → journal flush.
 constexpr const char* kHistograms[] = {
     "icrowd.ingest.queue_wait_seconds",
-    "icrowd.ingest.batch_assembly_seconds",
     "icrowd.ingest.apply_seconds",
     "icrowd.journal.flush_seconds",
-    "icrowd.ingest.batch_size",
 };
 
 /// One registry pass for the whole rendering: the glossary used to issue a

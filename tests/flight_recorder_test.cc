@@ -223,16 +223,16 @@ struct StatuszWorld {
   obs::HeartbeatRegistry heartbeats;
   FlightRecorder flight;
   ManualClock clock{40.0};
-  obs::Heartbeat* consumer = nullptr;
-  obs::Heartbeat* flusher = nullptr;
+  obs::Heartbeat* busy_shard = nullptr;
+  obs::Heartbeat* idle_shard = nullptr;
 
   StatuszWorld() {
     heartbeats.SetClock(&clock);
-    consumer = heartbeats.Register("ingest.consumer");
-    consumer->MarkBusy();
+    busy_shard = heartbeats.Register("host.shard");
+    busy_shard->MarkBusy();
     clock.Set(41.0);
-    flusher = heartbeats.Register("journal.flush");
-    flusher->MarkIdle();
+    idle_shard = heartbeats.Register("host.shard");
+    idle_shard->MarkIdle();
     clock.Set(43.5);
 
     g_fake_ns.store(0);
@@ -242,8 +242,8 @@ struct StatuszWorld {
     flight.RecordDetail(FlightEventKind::kLog, "INFO", "pinned log line");
 
     obs::MetricOptions nd{false, "fixture"};
-    metrics.GetCounter("icrowd.ingest.batches", nd).Increment(3);
-    metrics.GetCounter("icrowd.ingest.events_applied", nd).Increment(12);
+    metrics.GetCounter("icrowd.host.events_routed", nd).Increment(12);
+    metrics.GetCounter("icrowd.host.batches", nd).Increment(3);
     metrics.GetCounter("icrowd.journal.flushes", nd).Increment(3);
     metrics.GetCounter("icrowd.watchdog.trips", nd).Increment(1);
     metrics.GetGauge("icrowd.ingest.queue_depth", nd).Set(5);
@@ -255,16 +255,16 @@ struct StatuszWorld {
     wait.Observe(5e-5);
     wait.Observe(3e-3);
     metrics
-        .GetHistogram("icrowd.ingest.batch_size",
-                      obs::ExponentialBuckets(1, 2, 10), nd)
-        .Observe(4.0);
+        .GetHistogram("icrowd.ingest.apply_seconds",
+                      obs::ExponentialBuckets(1e-6, 4, 12), nd)
+        .Observe(4e-4);
     // The rest of the glossary stays unregistered on purpose: statusz must
     // render unknown metrics as zero rows, not drop them.
   }
 
   ~StatuszWorld() {
-    heartbeats.Unregister(consumer);
-    heartbeats.Unregister(flusher);
+    heartbeats.Unregister(busy_shard);
+    heartbeats.Unregister(idle_shard);
     heartbeats.SetClock(nullptr);
     flight.SetTimeSourceForTesting(nullptr);
   }

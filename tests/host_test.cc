@@ -1,13 +1,16 @@
 // Multi-campaign host suite (DESIGN.md §16): the CampaignManager's
 // handle-based v2 API and its cross-campaign isolation contract — a
-// campaign hosted among many, at any shard count, must be bit-identical
-// (journal bytes, results, accuracy estimates, deterministic metrics) to
-// the same event stream run through a solo ICrowd. Plus lifecycle
-// (create/open/close, duplicate and malformed names), failure isolation
-// under journal fault injection, kill-and-recover through per-shard
-// journal files (including a reopen under a different shard count and a
-// torn tail), concurrent producers (the TSan target), and the
-// per-campaign /metricsz and /statusz providers.
+// campaign hosted among many, at any shard count, queue bound and batch
+// ceiling, must be bit-identical (journal bytes, results, accuracy
+// estimates, deterministic metrics) to the same event stream run through
+// a solo ICrowd. The shard loop is the only asynchronous event consumer,
+// so this suite also carries its backpressure and batching checks. Plus
+// lifecycle (create/open/close, duplicate and malformed names, shutdown
+// drains, no per-campaign heartbeats), failure isolation under journal
+// fault injection, kill-and-recover through per-shard journal files
+// (including a reopen under a different shard count and a torn tail),
+// concurrent producers (the TSan target), and the per-campaign /metricsz
+// and /statusz providers.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +27,7 @@
 #include "host/campaign_manager.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
+#include "obs/heartbeat.h"
 #include "obs/http/http_client.h"
 #include "obs/metrics.h"
 #include "sim/campaign_driver.h"
@@ -201,12 +205,49 @@ TEST(HostLifecycleTest, SubmitAndCreateFailAfterShutdown) {
   auto manager = CampaignManager::Start(HostConfig{}).MoveValueOrDie();
   auto handle =
       manager->CreateCampaign(OptionsFor(0, "shut")).MoveValueOrDie();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(manager->SubmitEvent(handle, IngestEvent::Arrived()).ok());
+  }
+  // Shutdown drains what was accepted before it, and is idempotent.
   manager->Shutdown();
-  EXPECT_FALSE(manager->SubmitEvent(handle, IngestEvent::Arrived()).ok());
+  manager->Shutdown();
+  EXPECT_EQ(manager->SubmitEvent(handle, IngestEvent::Arrived()).code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_FALSE(manager->CreateCampaign(OptionsFor(1, "late")).ok());
-  // Nothing was in flight, so the drained campaign stays readable.
+  // Everything accepted settled (the refused submit settles unapplied),
+  // so the campaign stays readable and holds exactly the five arrivals.
   EXPECT_TRUE(manager->Drain(handle).ok());
-  EXPECT_TRUE(manager->Inspect(handle).ok());
+  const auto stats = manager->Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].settled, stats[0].submitted);
+  auto inspected = manager->Inspect(handle);
+  ASSERT_TRUE(inspected.ok());
+  EXPECT_EQ((*inspected)->state().num_workers(), 5u);
+}
+
+TEST(HostLifecycleTest, CreatesRegisterNoHeartbeats) {
+  // Liveness belongs to the thread that applies events (one `host.shard`
+  // heartbeat per shard), not to each campaign: a fleet of creates leaves
+  // the process-global heartbeat registry exactly as large as it was.
+  HostConfig host;
+  host.num_shards = 2;
+  auto manager = CampaignManager::Start(host).MoveValueOrDie();
+  // One applied event per shard: both shard threads have registered.
+  for (size_t c = 0; c < host.num_shards; ++c) {
+    auto handle = manager->CreateCampaign(
+        OptionsFor(c, "warm" + std::to_string(c)));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE(manager->SubmitEvent(*handle, IngestEvent::Arrived()).ok());
+    ASSERT_TRUE(manager->Drain(*handle).ok());
+  }
+  const size_t before = obs::HeartbeatRegistry::Global().Snapshots().size();
+  for (size_t c = 0; c < 300; ++c) {
+    auto handle =
+        manager->CreateCampaign(OptionsFor(c, "fleet" + std::to_string(c)));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  }
+  EXPECT_EQ(manager->num_campaigns(), 302u);
+  EXPECT_EQ(obs::HeartbeatRegistry::Global().Snapshots().size(), before);
 }
 
 // ------------------------------------------------------------- isolation --
@@ -219,11 +260,28 @@ TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {
   const std::string solo_dump =
       obs::MetricsRegistry::Global().ExportJsonlString(DeterministicExport());
 
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
+  size_t total_events = 0;
+  for (const SoloRun& run : solo) total_events += run.stream.size();
+
+  struct Layout {
+    size_t shards;
+    size_t queue_capacity;
+    size_t max_batch;
+  };
+  // The last layout is the asynchronous single-campaign path's shape: one
+  // shard behind a small queue, so the producer below hits backpressure
+  // and the shard coalesces events into multi-event batches.
+  const Layout layouts[] = {{1, 1024, 16}, {2, 1024, 16}, {8, 1024, 16},
+                            {1, 16, 7}};
+  for (const Layout& layout : layouts) {
+    const std::string tag = "shards" + std::to_string(layout.shards) +
+                            "_cap" + std::to_string(layout.queue_capacity) +
+                            "_batch" + std::to_string(layout.max_batch);
     obs::MetricsRegistry::Global().ResetForTesting();
     HostConfig host;
-    host.num_shards = shards;
-    host.max_batch = 16;
+    host.num_shards = layout.shards;
+    host.queue_capacity = layout.queue_capacity;
+    host.max_batch = layout.max_batch;
     auto manager = CampaignManager::Start(host).MoveValueOrDie();
     std::vector<CampaignHandle> handles;
     for (size_t c = 0; c < kCampaigns; ++c) {
@@ -251,18 +309,24 @@ TEST(HostIsolationTest, HostedCampaignsAreBitIdenticalToSoloAtAnyShardCount) {
     ASSERT_TRUE(manager->DrainAll().ok());
     for (size_t c = 0; c < kCampaigns; ++c) {
       ExpectMatchesSolo(*manager, handles[c], solo[c],
-                        "shards" + std::to_string(shards) + "_c" +
-                            std::to_string(c));
+                        tag + "_c" + std::to_string(c));
     }
     manager->Shutdown();
     // The deterministic metric dump of the hosted run matches the solo
     // runs applied back to back: batching, sharding and interleaving are
     // all invisible to the deterministic subset.
-    EXPECT_EQ(
-        obs::MetricsRegistry::Global().ExportJsonlString(
-            DeterministicExport()),
-        solo_dump)
-        << "shards=" << shards;
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    EXPECT_EQ(metrics.ExportJsonlString(DeterministicExport()), solo_dump)
+        << tag;
+    if (layout.queue_capacity == 16) {
+      // Backpressure fired, and the shard amortised: fewer applied slices
+      // than events, but no more than max_batch events per popped batch.
+      EXPECT_GT(metrics.CounterValue("icrowd.ingest.backpressure_waits"), 0u)
+          << tag;
+      const uint64_t batches = metrics.CounterValue("icrowd.host.batches");
+      EXPECT_LT(batches, total_events) << tag;
+      EXPECT_GE(batches, total_events / layout.max_batch) << tag;
+    }
     if (HasFailure()) return;
   }
 }
@@ -302,6 +366,11 @@ TEST(HostIsolationTest, JournalFaultPoisonsOneCampaignOnly) {
     if (stats.name == "doomed") saw_failed = stats.failed;
   }
   EXPECT_TRUE(saw_failed);
+  // Every accepted event settled on both campaigns: the doomed one's queued
+  // tail was abandoned, not lost, so its Drain did not hang.
+  for (const auto& stats : manager->Stats()) {
+    EXPECT_EQ(stats.settled, stats.submitted) << stats.name;
+  }
   EXPECT_FALSE(manager->CloseCampaign(*doomed).ok());
   EXPECT_EQ(manager->num_campaigns(), 1u);
 }

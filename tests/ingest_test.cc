@@ -1,16 +1,16 @@
 // Batch-invariance property suite for the ingest pipeline (DESIGN.md §12):
-// applying a recorded event stream through the batched API — at ANY batch
-// size — must be bit-identical to per-event execution:
+// applying a recorded event stream through ICrowd::ApplyEventBatch — at
+// ANY batch size — must be bit-identical to per-event execution:
 // same assignments, same accuracy estimates, same journal bytes, same
 // deterministic metrics. Plus unit tests for the bounded queue
-// (backpressure, drain-on-shutdown, multi-consumer) and the async
-// BatchIngestor (ordering, amortization, failure/exception propagation).
+// (backpressure, drain-on-shutdown, multi-consumer). The asynchronous
+// consumer (the host shard loop) is covered by tests/host_test.cc.
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,7 +19,6 @@
 #include "gtest/gtest.h"
 #include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
-#include "ingest/batch_ingestor.h"
 #include "ingest/event.h"
 #include "ingest/event_queue.h"
 #include "journal/journal.h"
@@ -116,7 +115,7 @@ std::vector<IngestEvent> StreamOf(const RunCapture& reference) {
   return IngestStreamFromJournal(parsed->events);
 }
 
-/// Re-applies `stream` on a fresh campaign through SubmitEvent + Drain in
+/// Re-applies `stream` on a fresh campaign through ApplyEventBatch in
 /// chunks of `batch_size` (0 = the whole stream as one batch).
 RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
                       size_t batch_size) {
@@ -129,11 +128,10 @@ RunCapture RunBatched(const std::vector<IngestEvent>& stream, uint64_t seed,
   size_t applied = 0;
   for (size_t start = 0; start < stream.size(); start += batch_size) {
     size_t end = std::min(start + batch_size, stream.size());
-    for (size_t i = start; i < end; ++i) {
-      Status buffered = system->SubmitEvent(stream[i]);
-      EXPECT_TRUE(buffered.ok()) << buffered.ToString();
-    }
-    auto outcomes = system->Drain();
+    std::vector<IngestEvent> chunk(
+        stream.begin() + static_cast<std::ptrdiff_t>(start),
+        stream.begin() + static_cast<std::ptrdiff_t>(end));
+    auto outcomes = system->ApplyEventBatch(chunk);
     EXPECT_TRUE(outcomes.ok()) << outcomes.status().ToString();
     if (!outcomes.ok()) break;
     applied += outcomes->size();
@@ -217,15 +215,16 @@ TEST(IngestInvarianceTest, RecoverableEventErrorsRideInOutcomes) {
   EXPECT_FALSE(system->failed());
 }
 
-TEST(IngestInvarianceTest, DrainWithoutSubmitsIsEmpty) {
+TEST(IngestInvarianceTest, EmptyBatchIsEmpty) {
   auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
                     .MoveValueOrDie();
-  auto outcomes = system->Drain();
+  auto outcomes = system->ApplyEventBatch({});
   ASSERT_TRUE(outcomes.ok());
   EXPECT_TRUE(outcomes->empty());
+  EXPECT_EQ(system->events_applied(), 1u);  // the begin record only
 }
 
-TEST(IngestInvarianceTest, PoisonedCampaignRefusesSubmitEvent) {
+TEST(IngestInvarianceTest, PoisonedCampaignRefusesApplyEventBatch) {
   ICrowdConfig config = MakeConfig(11);
   auto inner = std::make_shared<VectorSink>();
   // Enough budget for the begin record, then die.
@@ -237,9 +236,9 @@ TEST(IngestInvarianceTest, PoisonedCampaignRefusesSubmitEvent) {
   auto outcomes = system->ApplyEventBatch(batch);
   ASSERT_FALSE(outcomes.ok());
   EXPECT_TRUE(system->failed());
-  EXPECT_EQ(system->SubmitEvent(IngestEvent::Arrived()).code(),
+  EXPECT_EQ(system->ApplyEventBatch({IngestEvent::Arrived()}).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(system->Drain().status().code(),
+  EXPECT_EQ(system->ApplyEventBatch({}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -340,117 +339,6 @@ TEST(BoundedEventQueueTest, MultiConsumerDrainsEveryEventOnce) {
     }
   }
   EXPECT_EQ(seen.size(), static_cast<size_t>(kEvents));
-}
-
-// --------------------------------------------------------- async ingestor --
-
-TEST(BatchIngestorTest, AsyncIngestMatchesPerEventReference) {
-  RunCapture reference = RunPerEvent(11);
-  std::vector<IngestEvent> stream = StreamOf(reference);
-  obs::MetricsRegistry::Global().ResetForTesting();
-  ICrowdConfig config = MakeConfig(11);
-  auto sink = std::make_shared<VectorSink>();
-  config.journal_sink = sink;
-  auto system = ICrowd::Create(MakeDataset(), config).MoveValueOrDie();
-  std::vector<IngestOutcome> acked;
-  BatchIngestorOptions options;
-  options.max_batch = 7;
-  // Small bound so the submit loop actually hits backpressure.
-  options.queue_capacity = 16;
-  options.on_outcome = [&](const IngestOutcome& outcome) {
-    acked.push_back(outcome);
-  };
-  {
-    BatchIngestor ingestor(system.get(), options);
-    for (const IngestEvent& event : stream) {
-      ASSERT_TRUE(ingestor.Submit(event).ok());
-    }
-    ASSERT_TRUE(ingestor.Flush().ok());
-    EXPECT_EQ(ingestor.events_settled(), stream.size());
-    // Amortization: the consumer coalesced events into far fewer batches.
-    EXPECT_LT(ingestor.batches_applied(), stream.size());
-    EXPECT_GE(ingestor.batches_applied(),
-              stream.size() / options.max_batch);
-    ASSERT_TRUE(ingestor.Close().ok());
-  }
-  EXPECT_EQ(sink->bytes(), reference.journal);
-  EXPECT_EQ(system->Results(), reference.results);
-  EXPECT_EQ(AccuracyGrid(*system), reference.accuracies);
-  EXPECT_EQ(system->events_applied(), reference.events);
-  EXPECT_EQ(obs::MetricsRegistry::Global().ExportJsonlString(
-                DeterministicExport()),
-            reference.det_metrics);
-  // Acked outcomes arrive exactly once per event, in submission order.
-  ASSERT_EQ(acked.size(), stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(acked[i].kind, stream[i].kind) << "outcome " << i;
-    EXPECT_TRUE(acked[i].status.ok()) << acked[i].status.ToString();
-  }
-}
-
-TEST(BatchIngestorTest, CallbackExceptionFailsIngestor) {
-  auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
-                    .MoveValueOrDie();
-  BatchIngestorOptions options;
-  options.max_batch = 2;
-  size_t delivered = 0;
-  options.on_outcome = [&](const IngestOutcome&) {
-    if (++delivered == 3) throw std::runtime_error("observer exploded");
-  };
-  BatchIngestor ingestor(system.get(), options);
-  for (int i = 0; i < 8; ++i) {
-    // Submits may start failing once the exception lands; that is the
-    // expected propagation, not a test failure.
-    Status submitted = ingestor.Submit(IngestEvent::Arrived());
-    if (!submitted.ok()) break;
-  }
-  Status flushed = ingestor.Flush();
-  Status closed = ingestor.Close();
-  EXPECT_FALSE(closed.ok());
-  EXPECT_EQ(closed.code(), StatusCode::kInternal);
-  EXPECT_NE(closed.ToString().find("observer exploded"), std::string::npos);
-  EXPECT_EQ(flushed, closed);  // sticky first failure everywhere
-  EXPECT_EQ(ingestor.events_settled(), ingestor.events_submitted());
-  // The campaign itself is fine — the failure was in the observer.
-  EXPECT_FALSE(system->failed());
-  // And the ingestor refuses new work.
-  EXPECT_FALSE(ingestor.Submit(IngestEvent::Arrived()).ok());
-}
-
-TEST(BatchIngestorTest, CampaignPoisoningPropagatesAndSettles) {
-  ICrowdConfig config = MakeConfig(11);
-  auto inner = std::make_shared<VectorSink>();
-  auto faulty = std::make_shared<FaultInjectingSink>(inner, 128);
-  config.journal_sink = faulty;
-  auto system = ICrowd::Create(MakeDataset(), config).MoveValueOrDie();
-  BatchIngestorOptions options;
-  options.max_batch = 4;
-  BatchIngestor ingestor(system.get(), options);
-  for (int i = 0; i < 64; ++i) {
-    Status submitted = ingestor.Submit(IngestEvent::Arrived());
-    if (!submitted.ok()) break;
-  }
-  Status closed = ingestor.Close();
-  EXPECT_FALSE(closed.ok());
-  EXPECT_TRUE(system->failed());
-  EXPECT_TRUE(faulty->tripped());
-  EXPECT_EQ(ingestor.events_settled(), ingestor.events_submitted());
-}
-
-TEST(BatchIngestorTest, CloseIsIdempotentAndDrains) {
-  auto system = ICrowd::Create(MakeDataset(), MakeConfig(11))
-                    .MoveValueOrDie();
-  BatchIngestor ingestor(system.get());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
-  }
-  EXPECT_TRUE(ingestor.Close().ok());
-  EXPECT_TRUE(ingestor.Close().ok());
-  // Close drained everything that was submitted before it.
-  EXPECT_EQ(ingestor.events_settled(), 5u);
-  EXPECT_EQ(system->state().num_workers(), 5u);
-  EXPECT_EQ(ingestor.Submit(IngestEvent::Arrived()).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ struct ServerWorld {
   ServerWorld() : server(MakeOptions(this)) {
     heartbeats.SetClock(&clock);
     obs::MetricOptions nd{false, "probe"};
-    metrics.GetCounter("icrowd.ingest.batches", nd).Increment(3);
+    metrics.GetCounter("icrowd.host.batches", nd).Increment(3);
     metrics.GetGauge("icrowd.ingest.queue_depth", nd).Set(2.5);
     flight.SetEnabled(true);
     flight.Record(obs::FlightEventKind::kMark, "campaign.start");
@@ -76,7 +76,7 @@ TEST(ObsServerTest, ServesEveryEndpointOverLoopback) {
   EXPECT_EQ(statusz.status, 200) << statusz.error;
   EXPECT_NE(statusz.body.find("=== icrowd statusz ==="), std::string::npos);
   EXPECT_NE(statusz.body.find("[build]"), std::string::npos);
-  EXPECT_NE(statusz.body.find("icrowd.ingest.batches"), std::string::npos);
+  EXPECT_NE(statusz.body.find("icrowd.host.batches 3"), std::string::npos);
 
   HttpResponse statusz_json = world.Get("/statusz?format=json");
   EXPECT_EQ(statusz_json.status, 200);
@@ -85,8 +85,8 @@ TEST(ObsServerTest, ServesEveryEndpointOverLoopback) {
 
   HttpResponse metricsz = world.Get("/metricsz");
   EXPECT_EQ(metricsz.status, 200);
-  EXPECT_NE(metricsz.body.find("# TYPE icrowd_ingest_batches counter\n"
-                               "icrowd_ingest_batches 3\n"),
+  EXPECT_NE(metricsz.body.find("# TYPE icrowd_host_batches counter\n"
+                               "icrowd_host_batches 3\n"),
             std::string::npos);
   EXPECT_NE(metricsz.body.find("icrowd_ingest_queue_depth 2.5\n"),
             std::string::npos);
@@ -122,13 +122,13 @@ TEST(ObsServerTest, HealthzReports503OnStalledHeartbeat) {
 
   // Busy heartbeat whose stamp stops advancing past the stall threshold:
   // exactly the condition the watchdog calls a stall.
-  obs::Heartbeat* consumer = world.heartbeats.Register("ingest.consumer");
+  obs::Heartbeat* consumer = world.heartbeats.Register("host.shard");
   consumer->MarkBusy();
   world.clock.Advance(30.0);  // default healthz_stall_seconds is 5
 
   HttpResponse healthz = world.Get("/healthz");
   EXPECT_EQ(healthz.status, 503);
-  EXPECT_NE(healthz.body.find("stalled: ingest.consumer"),
+  EXPECT_NE(healthz.body.find("stalled: host.shard"),
             std::string::npos);
   EXPECT_NE(healthz.body.find("age_seconds=30.000000"), std::string::npos);
 

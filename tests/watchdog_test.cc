@@ -3,8 +3,8 @@
 // trip logic driven deterministically through CheckNow() with a fake
 // Clock (busy-stale trips, idle never trips, edge-triggered re-arm), the
 // default trip handler's introspection dump, and the end-to-end case the
-// subsystem exists for: a deliberately wedged ingest consumer tripping the
-// watchdog while real threads run.
+// subsystem exists for: a host shard thread deliberately wedged in a
+// journal flush tripping the watchdog while real threads run.
 //
 // Clock discipline for the fake-time tests: ManualClock is not internally
 // synchronized, so the clock only advances while every thread that could
@@ -25,9 +25,8 @@
 #include "gtest/gtest.h"
 #include "common/logging.h"
 #include "core/clock.h"
-#include "core/icrowd.h"
 #include "datagen/entity_resolution.h"
-#include "ingest/batch_ingestor.h"
+#include "host/campaign_manager.h"
 #include "ingest/event.h"
 #include "journal/journal.h"
 #include "obs/heartbeat.h"
@@ -152,7 +151,7 @@ TEST(WatchdogTest, BusyStaleHeartbeatTrips) {
   HeartbeatRegistry registry;
   ManualClock clock(100.0);
   registry.SetClock(&clock);
-  Heartbeat* consumer = registry.Register("ingest.consumer");
+  Heartbeat* consumer = registry.Register("host.shard");
   consumer->MarkBusy();
 
   TripLog log;
@@ -166,9 +165,9 @@ TEST(WatchdogTest, BusyStaleHeartbeatTrips) {
   CaptureLogs quiet;  // the trip logs at Error level; keep stderr clean
   EXPECT_EQ(watchdog.CheckNow(), 1u);
   ASSERT_EQ(log.names.size(), 1u);
-  EXPECT_EQ(log.names[0], "ingest.consumer");
+  EXPECT_EQ(log.names[0], "host.shard");
   EXPECT_EQ(watchdog.trips(), 1u);
-  EXPECT_TRUE(quiet.Contains("ingest.consumer"));
+  EXPECT_TRUE(quiet.Contains("host.shard"));
   EXPECT_EQ(
       obs::MetricsRegistry::Global().CounterValue("icrowd.watchdog.trips"),
       trips_before + 1);
@@ -198,7 +197,7 @@ TEST(WatchdogTest, TripsAreEdgeTriggeredAndRearm) {
   HeartbeatRegistry registry;
   ManualClock clock(0.0);
   registry.SetClock(&clock);
-  Heartbeat* consumer = registry.Register("ingest.consumer");
+  Heartbeat* consumer = registry.Register("host.shard");
   consumer->MarkBusy();
 
   TripLog log;
@@ -234,7 +233,7 @@ TEST(WatchdogTest, DefaultTripHandlerDumpsIntrospection) {
   HeartbeatRegistry registry;
   ManualClock clock(0.0);
   registry.SetClock(&clock);
-  Heartbeat* consumer = registry.Register("ingest.consumer");
+  Heartbeat* consumer = registry.Register("host.shard");
   consumer->MarkBusy();
 
   WatchdogOptions options;
@@ -271,88 +270,108 @@ TEST(WatchdogTest, DefaultTripHandlerDumpsIntrospection) {
 
 // ------------------------------------------------- wedged-consumer e2e
 
-Result<std::unique_ptr<ICrowd>> MakeCampaign() {
+/// A journal sink whose Flush() blocks, once armed, until released: the
+/// hung fsync the shard heartbeat must expose. Create() flushes the begin
+/// record before the sink is armed, so construction never wedges.
+class WedgingSink : public JournalSink {
+ public:
+  Status Append(const uint8_t* data, size_t size) override {
+    return inner_.Append(data, size);
+  }
+  Status Flush() override {
+    if (armed_.load()) {
+      wedged_.store(true);
+      while (!released_.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return inner_.Flush();
+  }
+
+  void Arm() { armed_.store(true); }
+  void Release() { released_.store(true); }
+  void AwaitWedged() const {
+    while (!wedged_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  VectorSink inner_;
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> wedged_{false};
+  std::atomic<bool> released_{false};
+};
+
+/// A 1-shard host whose only campaign journals to `sink`.
+Result<CampaignHandle> HostCampaign(CampaignManager* manager,
+                                    std::shared_ptr<WedgingSink> sink) {
   EntityResolutionOptions dataset_options;
   dataset_options.tasks_per_family = 5;
   auto dataset = GenerateEntityResolution(dataset_options);
   if (!dataset.ok()) return dataset.status();
-  ICrowdConfig config;
-  config.num_qualification = 4;
-  config.warmup.tasks_per_worker = 3;
-  config.graph.measure = SimilarityMeasure::kJaccard;
-  config.graph.threshold = 0.2;
-  config.seed = 7;
-  config.journal_sink = std::make_shared<VectorSink>();
-  return ICrowd::Create(*std::move(dataset), config);
+  CampaignManager::CampaignOptions options;
+  options.name = "wedged";
+  options.dataset = *std::move(dataset);
+  options.config.num_qualification = 4;
+  options.config.warmup.tasks_per_worker = 3;
+  options.config.graph.measure = SimilarityMeasure::kJaccard;
+  options.config.graph.threshold = 0.2;
+  options.config.seed = 7;
+  options.config.journal_sink = std::move(sink);
+  return manager->CreateCampaign(std::move(options));
 }
 
-/// A consumer deliberately wedged inside the on_outcome callback (fake
-/// Clock injected into the GLOBAL registry, scans driven by CheckNow):
-/// the watchdog must trip on "ingest.consumer" and the trip must name it.
-/// The clock is only advanced while the consumer is provably blocked in
-/// the callback, so the fake clock is never read and written concurrently.
+bool NamesShard(const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    if (name.find("host.shard") != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// A shard thread wedged inside a campaign's journal flush (fake Clock
+/// injected into the GLOBAL registry, scans driven by CheckNow): the
+/// watchdog must trip on "host.shard" and the trip must name it — no
+/// per-writer heartbeat is needed to catch a hung fsync. The clock is only
+/// advanced while the shard thread is provably blocked in the flush, so
+/// the fake clock is never read and written concurrently.
 TEST(WatchdogIngestTest, WedgedConsumerTripsWatchdog) {
   HeartbeatRegistry& registry = HeartbeatRegistry::Global();
   ManualClock clock(1000.0);
   registry.SetClock(&clock);
-
-  std::atomic<bool> wedged{false};
-  std::atomic<bool> release{false};
   {
-    auto system = MakeCampaign();
-    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    auto manager = CampaignManager::Start(HostConfig{}).MoveValueOrDie();
+    auto sink = std::make_shared<WedgingSink>();
+    auto handle = HostCampaign(manager.get(), sink);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    sink->Arm();
+    ASSERT_TRUE(manager->SubmitEvent(*handle, IngestEvent::Arrived()).ok());
+    sink->AwaitWedged();
 
-    BatchIngestorOptions options;
-    options.max_batch = 4;
-    options.on_outcome = [&](const IngestOutcome&) {
-      wedged.store(true);
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    };
-    BatchIngestor ingestor(system->get(), options);
-    ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
-    while (!wedged.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-
-    // Consumer is busy (dequeue -> apply -> callback) and blocked: advance
-    // fake time past the stall bound and scan.
+    // The shard is busy (dequeue -> apply -> group commit) and blocked:
+    // advance fake time past the stall bound and scan.
     TripLog log;
     Watchdog watchdog(&registry, ManualOptions(&log));
     clock.Advance(60.0);
     CaptureLogs quiet;
     EXPECT_GE(watchdog.CheckNow(), 1u);
-    bool consumer_named = false;
-    for (const std::string& name : log.names) {
-      if (name.find("ingest.consumer") != std::string::npos) {
-        consumer_named = true;
-      }
-    }
-    EXPECT_TRUE(consumer_named);
+    EXPECT_TRUE(NamesShard(log.names));
 
-    release.store(true);
-    EXPECT_TRUE(ingestor.Flush().ok());
-    EXPECT_TRUE(ingestor.Close().ok());
+    sink->Release();
+    EXPECT_TRUE(manager->Drain(*handle).ok());
   }
-  // Everything that stamps against the global registry is joined; only now
-  // is it safe to drop the fake clock.
+  // The manager joined its shard threads: nothing stamps against the
+  // global registry any more, so only now is it safe to drop the fake clock.
   registry.SetClock(nullptr);
 }
 
 /// Same wedge, but detected by the real monitor thread on its own poll
 /// cadence (steady clock, tight thresholds) — the production path.
 TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
-  auto system = MakeCampaign();
-  ASSERT_TRUE(system.ok()) << system.status().ToString();
-
-  std::atomic<bool> release{false};
-  BatchIngestorOptions options;
-  options.on_outcome = [&](const IngestOutcome&) {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
+  auto manager = CampaignManager::Start(HostConfig{}).MoveValueOrDie();
+  auto sink = std::make_shared<WedgingSink>();
+  auto handle = HostCampaign(manager.get(), sink);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
   std::atomic<bool> tripped{false};
   WatchdogOptions watchdog_options;
@@ -361,7 +380,7 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
   watchdog_options.on_trip =
       [&](const std::vector<HeartbeatSnapshot>& stalled) {
         for (const HeartbeatSnapshot& hb : stalled) {
-          if (hb.name.find("ingest.consumer") != std::string::npos) {
+          if (hb.name.find("host.shard") != std::string::npos) {
             tripped.store(true);
           }
         }
@@ -369,8 +388,8 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
 
   CaptureLogs quiet;
   Watchdog watchdog(&obs::HeartbeatRegistry::Global(), watchdog_options);
-  BatchIngestor ingestor(system->get(), options);
-  ASSERT_TRUE(ingestor.Submit(IngestEvent::Arrived()).ok());
+  sink->Arm();
+  ASSERT_TRUE(manager->SubmitEvent(*handle, IngestEvent::Arrived()).ok());
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!tripped.load() && std::chrono::steady_clock::now() < deadline) {
@@ -378,9 +397,8 @@ TEST(WatchdogIngestTest, MonitorThreadDetectsWedgeOnItsOwn) {
   }
   EXPECT_TRUE(tripped.load());
 
-  release.store(true);
-  EXPECT_TRUE(ingestor.Flush().ok());
-  EXPECT_TRUE(ingestor.Close().ok());
+  sink->Release();
+  EXPECT_TRUE(manager->Drain(*handle).ok());
   watchdog.Stop();
 }
 
